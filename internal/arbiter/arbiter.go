@@ -16,10 +16,20 @@
 // (non-blocked, output-still-free) queue. A buffer with a single read port
 // (FIFO, SAMQ, DAMQ) gets at most one grant per cycle; an SAFC buffer may
 // receive up to one grant per queue.
+//
+// The arbiter works on bitmasks, as the hardware's does on its queues'
+// valid bits. The switch hands it one request row per input buffer, bit
+// out set iff that buffer can deliver to out, and the matching runs as
+// bit operations on the rows and a taken-outputs word. Only candidates
+// (occupied queues whose output is still free) reach the switch through
+// Queues: once for the downstream blocking probe, and for queue lengths
+// only when two candidates' stale counts tie. One routine serves every
+// port count, read-port limit and observed or unobserved arbiter.
 package arbiter
 
 import (
 	"fmt"
+	"math/bits"
 
 	"damq/internal/cfgerr"
 	"damq/internal/names"
@@ -62,27 +72,17 @@ func ParsePolicy(s string) (Policy, error) {
 		s, names.List(policyNames[:]), cfgerr.ErrBadPolicy)
 }
 
-// View is what the arbiter can see of the switch each cycle: the state of
-// every (input buffer, output queue) pair. Implementations are provided by
-// the switch model. A queue with QueueLen > 0 is understood to have a
-// deliverable head packet (FIFOs report 0 when the head is for a different
-// output), so QueueLen doubles as the head-availability test.
-type View interface {
-	// Ports returns the number of input buffers and output ports.
-	Ports() (inputs, outputs int)
-	// InputLen is the total packet count buffered at input in, across all
-	// of its queues. It must be O(1): the arbiter uses it to skip whole
-	// input rows without touching their queues.
-	InputLen(in int) int
-	// QueueLen is the number of packets input in could eventually send to
-	// out (0 when a FIFO's head is for a different output).
-	QueueLen(in, out int) int
+// Queues answers the two questions a matching asks about a candidate
+// queue, a set bit of its input's row whose output no earlier grant
+// took. It is never asked about an empty queue or a taken output, so its
+// cost follows the candidates, not inputs × outputs.
+type Queues interface {
 	// Blocked reports whether the head packet of (in, out) cannot be
-	// forwarded because the downstream buffer refuses it. Only meaningful
-	// when QueueLen > 0; under a discarding protocol it is always false.
+	// forwarded because the downstream buffer refuses it.
 	Blocked(in, out int) bool
-	// MaxReads is the read-port limit of input in's buffer this cycle.
-	MaxReads(in int) int
+	// Len is the packet count of queue (in, out). The matching reads it
+	// only to order two candidates whose stale counts tie.
+	Len(in, out int) int
 }
 
 // Grant is one crossbar connection for the current cycle.
@@ -97,15 +97,7 @@ type Arbiter struct {
 	inputs  int
 	outputs int
 	prio    int
-	stale   [][]int64 // [in][out] cycles the queue has waited with traffic
-
-	// Per-cycle scratch, allocated once: Arbitrate runs for every switch
-	// on every network cycle, so per-call slice allocations would dominate
-	// the simulator's heap profile.
-	outTaken []bool
-	granted  []bool
-	qlen     []int  // current input row's queue lengths
-	sentRow  []bool // current input row's granted outputs
+	stale   []int64 // [in*outputs + out] cycles the queue has waited with traffic
 
 	// Observability probes (nil when no observer is attached). Every use
 	// sits behind an `if x != nil` guard so the unobserved arbiter stays
@@ -115,22 +107,13 @@ type Arbiter struct {
 	mBlocked   *obs.Counter // queue heads refused by the downstream buffer
 }
 
-// New constructs an arbiter for a switch with the given port counts.
+// New constructs an arbiter for a switch with the given port counts. A
+// request row is one 64-bit word, so there are at most 64 outputs.
 func New(policy Policy, inputs, outputs int) *Arbiter {
-	if inputs <= 0 || outputs <= 0 {
-		panic("arbiter: ports must be positive")
+	if inputs <= 0 || outputs <= 0 || outputs > 64 {
+		panic(fmt.Sprintf("arbiter: %d×%d ports, want positive with at most 64 outputs", inputs, outputs))
 	}
-	st := make([][]int64, inputs)
-	for i := range st {
-		st[i] = make([]int64, outputs)
-	}
-	return &Arbiter{
-		policy: policy, inputs: inputs, outputs: outputs, stale: st,
-		outTaken: make([]bool, outputs),
-		granted:  make([]bool, inputs),
-		qlen:     make([]int, outputs),
-		sentRow:  make([]bool, outputs),
-	}
+	return &Arbiter{policy: policy, inputs: inputs, outputs: outputs, stale: make([]int64, inputs*outputs)}
 }
 
 // Policy returns the arbitration policy in use.
@@ -161,260 +144,131 @@ func (a *Arbiter) AdvanceIdle(cycles int64) {
 }
 
 // Stale exposes the stale counter of queue (in, out) for tests.
-func (a *Arbiter) Stale(in, out int) int64 { return a.stale[in][out] }
+func (a *Arbiter) Stale(in, out int) int64 { return a.stale[in*a.outputs+out] }
 
 // Reset clears priority and stale state.
 func (a *Arbiter) Reset() {
 	a.prio = 0
-	for i := range a.stale {
-		for j := range a.stale[i] {
-			a.stale[i][j] = 0
-		}
-	}
+	clear(a.stale)
 }
 
-// Arbitrate computes this cycle's crossbar matching. It appends grants to
-// dst (pass nil to allocate) and returns the result; the order of grants
-// follows the examination order, which tests rely on.
+// Arbitrate computes this cycle's crossbar matching. rows[in] is input
+// in's request row: bit out is set iff queue (in, out) holds a packet
+// deliverable to out (a FIFO sets only its head packet's output). reads
+// is the read-port limit of every input buffer (1, or the output count
+// for SAFC/DAFC). Arbitrate appends grants to dst (pass nil to allocate)
+// in examination order, which tests rely on.
 //
-// The 2×2 single-read-port case — the building block of binary multistage
-// networks — dispatches to a branchless fast path that computes the whole
-// matching as boolean expressions; every other shape (or an arbiter with
-// counters attached, which must count candidate rejections the boolean
-// form never enumerates) takes the general scan. Both produce identical
-// grants, priority movement, and stale counts; TestArbitrate2x2Equivalence
-// pins that against the general path run on the same state.
+// Inputs are examined from the priority holder on. Each read round of a
+// row walks the candidate bits row &^ taken in ascending output order,
+// asks q whether each candidate is blocked downstream, and grants the
+// best unblocked one: stalest first under Smart, then longest queue,
+// ties to the lower output. Rows without traffic are skipped whole:
+// their stale counts are zero and stay zero (a queue only carries a
+// nonzero count while it holds traffic, and the pop that empties it is
+// a grant, which resets the count). The same matching serves every
+// shape, counted or not; attached counters only add popcounts and
+// increments, never probes.
 // damqvet:hotpath
-func (a *Arbiter) Arbitrate(v View, dst []Grant) []Grant {
-	in, out := v.Ports()
-	if in != a.inputs || out != a.outputs {
-		panic(fmt.Sprintf("arbiter: view is %dx%d, arbiter is %dx%d", in, out, a.inputs, a.outputs))
+func (a *Arbiter) Arbitrate(rows []uint64, reads int, q Queues, dst []Grant) []Grant {
+	if len(rows) != a.inputs {
+		panic(fmt.Sprintf("arbiter: %d request rows for %d inputs", len(rows), a.inputs))
 	}
-	if in == 2 && out == 2 &&
-		a.mGrants == nil && a.mConflicts == nil && a.mBlocked == nil &&
-		v.MaxReads(0) == 1 && v.MaxReads(1) == 1 {
-		return a.arbitrate2x2(v, dst)
-	}
-	return a.arbitrateGeneral(v, dst)
-}
-
-// arbitrate2x2 is the fast path for a 2×2 switch whose buffers expose one
-// read port: forwarding eligibility, conflict resolution, and priority
-// movement reduce to pure boolean expressions over the four queue states,
-// with no per-candidate loops — the style of hardware arbitration logic,
-// one gate level per term. Row i0 (the priority holder) picks first; row
-// i1 then sees i0's winning output as taken.
-// damqvet:hotpath
-func (a *Arbiter) arbitrate2x2(v View, dst []Grant) []Grant {
-	i0 := a.prio
-	i1 := i0 ^ 1
-	len0 := v.InputLen(i0) > 0
-	len1 := v.InputLen(i1) > 0
-
-	var g0, g1, g0hi bool // row grants; g0hi = row i0 took output 1
-	if len0 {
-		p0, p1 := a.pick2(v, i0, false, false)
-		g0 = p0 || p1
-		g0hi = p1
-		if g0 {
-			dst = append(dst, Grant{In: i0, Out: b2i(p1)})
-		}
-	}
-	if len1 {
-		p0, p1 := a.pick2(v, i1, g0 && !g0hi, g0 && g0hi)
-		g1 = p0 || p1
-		if g1 {
-			dst = append(dst, Grant{In: i1, Out: b2i(p1)})
-		}
-	}
-
-	// Priority as one boolean term. Smart keeps the pointer on i0 when the
-	// holder had traffic but sent nothing (blocked turns are not counted),
-	// and lands on i0 after a round where only i1 transmitted (rotate past
-	// the first server); every other case — any dumb round, a holder
-	// grant, a completely idle round — moves it to i1.
-	if a.policy == Smart && !g0 && (len0 || g1) {
-		a.prio = i0
-	} else {
-		a.prio = i1
-	}
-	return dst
-}
-
-// pick2 computes one 2×2 row's winning output as boolean logic: e_o is
-// the forward-eligibility of queue o (has traffic, output free, head not
-// blocked downstream), beats is the policy's preference for output 1 over
-// output 0 (stalest first under smart, then longest queue, ties to the
-// lower output), and the one-hot pick follows. Stale counts transition
-// exactly as the general row epilogue: waiting queues age, transmitting
-// or empty queues reset.
-// damqvet:hotpath
-func (a *Arbiter) pick2(v View, i int, t0, t1 bool) (p0, p1 bool) {
-	s := a.stale[i]
-	q0 := v.QueueLen(i, 0)
-	q1 := v.QueueLen(i, 1)
-	e0 := !t0 && q0 > 0 && !v.Blocked(i, 0)
-	e1 := !t1 && q1 > 0 && !v.Blocked(i, 1)
-	smart := a.policy == Smart
-	beats := (smart && s[1] > s[0]) || ((!smart || s[1] == s[0]) && q1 > q0)
-	p1 = e1 && (!e0 || beats)
-	p0 = e0 && !p1
-	s[0] = staleNext(s[0], q0 > 0 && !p0)
-	s[1] = staleNext(s[1], q1 > 0 && !p1)
-	return p0, p1
-}
-
-// staleNext is the per-queue stale transition function.
-// damqvet:hotpath
-func staleNext(old int64, waiting bool) int64 {
-	if waiting {
-		return old + 1
-	}
-	return 0
-}
-
-// b2i maps a one-hot output-1 pick to its output index.
-// damqvet:hotpath
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// arbitrateGeneral is the reference matching algorithm for every port
-// count, read-port limit, and observed arbiter.
-// damqvet:hotpath
-func (a *Arbiter) arbitrateGeneral(v View, dst []Grant) []Grant {
-	outTaken := a.outTaken
-	granted := a.granted // whether the buffer transmitted at all
-	for i := range outTaken {
-		outTaken[i] = false
-	}
-	for i := range granted {
-		granted[i] = false
-	}
-	firstGranted := -1 // first input served, in examination order
-	qlen := a.qlen
-	sentRow := a.sentRow
-
+	var taken uint64 // outputs granted this cycle
+	first := -1      // first input served, in examination order
+	n := a.outputs
 	for k := 0; k < a.inputs; k++ {
-		i := (a.prio + k) % a.inputs
-		if v.InputLen(i) == 0 {
-			// An empty input can receive no grant, and its stale counts
-			// are already zero (a queue only carries a nonzero stale
-			// count while it holds traffic — any pop routes through a
-			// grant, which resets the count), so the whole row is
-			// skipped without touching its queues.
+		i := a.prio + k
+		if i >= a.inputs {
+			i -= a.inputs
+		}
+		row := rows[i]
+		if row == 0 {
 			continue
 		}
-		// Snapshot this row's queue lengths once. Arbitrate never pops,
-		// so they cannot change mid-call; the snapshot replaces the
-		// per-candidate HasHead/QueueLen view calls on the simulator's
-		// hottest path.
-		for o := 0; o < a.outputs; o++ {
-			qlen[o] = v.QueueLen(i, o)
-			sentRow[o] = false
-		}
-		stale := a.stale[i]
-		reads := v.MaxReads(i)
+		stale := a.stale[i*n : i*n+n]
+		var sent uint64 // outputs this row was granted
 		for r := 0; r < reads; r++ {
-			best := -1
-			// The three rejection tests keep the pre-observability
-			// short-circuit order (taken output, empty queue, blocked head)
-			// so the unobserved path performs the exact same view calls.
-			for o := 0; o < a.outputs; o++ {
-				if outTaken[o] {
-					if a.mConflicts != nil {
-						if qlen[o] > 0 {
-							a.mConflicts.Inc()
-						}
-					}
-					continue
-				}
-				if qlen[o] == 0 {
-					continue
-				}
-				if v.Blocked(i, o) {
+			if a.mConflicts != nil {
+				a.mConflicts.Add(int64(bits.OnesCount64(row & taken)))
+			}
+			best, bestLen := -1, -1 // bestLen is read lazily, -1 until needed
+			for c := row &^ taken; c != 0; c &= c - 1 {
+				o := bits.TrailingZeros64(c)
+				if q.Blocked(i, o) {
 					if a.mBlocked != nil {
 						a.mBlocked.Inc()
 					}
 					continue
 				}
-				if best == -1 || better(a.policy, stale, qlen, o, best) {
+				if best < 0 {
 					best = o
+					continue
+				}
+				if a.policy == Smart && stale[o] != stale[best] {
+					if stale[o] > stale[best] {
+						best, bestLen = o, -1
+					}
+					continue
+				}
+				if bestLen < 0 {
+					bestLen = q.Len(i, best)
+				}
+				if l := q.Len(i, o); l > bestLen {
+					best, bestLen = o, l
 				}
 			}
-			if best == -1 {
+			if best < 0 {
 				break
 			}
-			outTaken[best] = true
-			granted[i] = true
-			sentRow[best] = true
-			if firstGranted == -1 {
-				firstGranted = i
+			taken |= 1 << uint(best)
+			sent |= 1 << uint(best)
+			if first < 0 {
+				first = i
 			}
 			dst = append(dst, Grant{In: i, Out: best})
 			if a.mGrants != nil {
 				a.mGrants.Inc()
 			}
 		}
-		// Update this row's stale counts — final once its examination
-		// ends, since later rows cannot grant to it: queues holding
-		// traffic that did not transmit age by one; transmitting or
-		// empty queues reset. (A queue that sent one of several waiting
-		// packets still made progress, so it resets.)
-		for o := 0; o < a.outputs; o++ {
-			if qlen[o] > 0 && !sentRow[o] {
-				stale[o]++
-			} else {
-				stale[o] = 0
-			}
+		// This row's stale counts are final once its examination ends,
+		// since later rows cannot grant to it: queues holding traffic
+		// that did not transmit age by one; transmitting or empty queues
+		// reset. (A queue that sent one of several waiting packets still
+		// made progress, so it resets.)
+		waiting := row &^ sent
+		for o := range stale {
+			keep := -int64(waiting >> uint(o) & 1) // all ones iff waiting
+			stale[o] = (stale[o] + 1) & keep
 		}
 	}
 
-	// Advance the priority pointer.
-	switch a.policy {
-	case Dumb:
-		a.prio = (a.prio + 1) % a.inputs
-	case Smart:
-		// The paper's rule: a priority holder whose packets were all
-		// blocked keeps its turn ("does not count the times a buffer has
-		// priority but still does not transmit"). That rule is only
-		// about buffers that *held traffic*: an empty holder forfeits,
-		// and the pointer rotates to just past the first buffer actually
-		// served, so quiet inputs cannot pin the examination order and
-		// starve later buffers.
-		holderHadTraffic := v.InputLen(a.prio) > 0
-		switch {
-		case holderHadTraffic && !granted[a.prio]:
-			// Blocked with traffic: turn not counted, priority retained.
-		case firstGranted >= 0:
-			a.prio = (firstGranted + 1) % a.inputs
-		default:
-			a.prio = (a.prio + 1) % a.inputs
-		}
+	// Advance the priority pointer. Under Smart a priority holder whose
+	// packets were all blocked keeps its turn ("does not count the times
+	// a buffer has priority but still does not transmit"). That rule is
+	// only about buffers that held traffic: an empty holder forfeits, and
+	// the pointer rotates to just past the first buffer actually served,
+	// so quiet inputs cannot pin the examination order and starve later
+	// buffers. The holder is examined first, so it transmitted iff it is
+	// the first input served.
+	next := a.prio
+	switch {
+	case a.policy == Smart && rows[a.prio] != 0 && first != a.prio:
+		return dst // blocked with traffic: turn not counted, priority retained
+	case a.policy == Smart && first >= 0:
+		next = first
 	}
+	if next++; next == a.inputs {
+		next = 0
+	}
+	a.prio = next
 	return dst
-}
-
-// better reports whether output o beats the incumbent best within one
-// input row under the active policy's selection rule: stalest first
-// (smart only), then longest queue, ties keeping the lowest output. It
-// works on the row's snapshotted state so candidate comparison costs no
-// interface calls.
-// damqvet:hotpath
-func better(policy Policy, stale []int64, qlen []int, o, best int) bool {
-	if policy == Smart && stale[o] != stale[best] {
-		return stale[o] > stale[best]
-	}
-	return qlen[o] > qlen[best]
 }
 
 // State is the arbiter's cross-cycle state — the round-robin priority
 // pointer and the stale (age) counters — exposed for the simulator
-// checkpoint codec. Everything else in an Arbiter is per-cycle scratch
-// that Arbitrate rewrites before reading.
+// checkpoint codec. Everything else in an Arbiter is configuration and
+// observability probes.
 type State struct {
 	Prio  int
 	Stale []int64 // [in*outputs + out], row-major
@@ -422,11 +276,22 @@ type State struct {
 
 // SaveState captures the cross-cycle state.
 func (a *Arbiter) SaveState() State {
-	st := State{Prio: a.prio, Stale: make([]int64, 0, a.inputs*a.outputs)}
-	for _, row := range a.stale {
-		st.Stale = append(st.Stale, row...)
+	return State{Prio: a.prio, Stale: append([]int64(nil), a.stale...)}
+}
+
+// CheckStale verifies the invariant Arbitrate's row skipping rests on: a
+// queue whose request-row bit is clear has stale count zero. A restored
+// state that breaks it could not have come from a run, so the restore
+// path rejects it rather than let it age a queue the run never saw.
+func (a *Arbiter) CheckStale(rows []uint64) error {
+	for i, row := range rows {
+		for o := 0; o < a.outputs; o++ {
+			if v := a.stale[i*a.outputs+o]; v != 0 && row>>uint(o)&1 == 0 {
+				return fmt.Errorf("arbiter: empty queue (%d, %d) has stale count %d", i, o, v)
+			}
+		}
 	}
-	return st
+	return nil
 }
 
 // LoadState overwrites the cross-cycle state with a previously saved
@@ -444,8 +309,6 @@ func (a *Arbiter) LoadState(st State) error {
 		}
 	}
 	a.prio = st.Prio
-	for i, row := range a.stale {
-		copy(row, st.Stale[i*a.outputs:(i+1)*a.outputs])
-	}
+	copy(a.stale, st.Stale)
 	return nil
 }

@@ -1,44 +1,75 @@
 package arbiter
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
 
-// tableView is a scriptable View for tests.
-type tableView struct {
-	in, out  int
-	queues   [][]int  // packets per (in,out)
-	blocked  [][]bool // blocked per (in,out)
-	maxReads []int
+// table is a scriptable switch state for tests: packets and blocked
+// flags per (in, out), and one read-port limit for every input. It is the
+// Queues of the mask routine (whose request rows it derives from the
+// packet counts) and the View of the reference arbiter, and it can log
+// the blocked-probe calls either makes.
+type table struct {
+	in, out int
+	queues  [][]int  // packets per (in,out)
+	blocked [][]bool // blocked per (in,out)
+	reads   int
+	rowBuf  []uint64
+	record  bool     // log Blocked calls into probes
+	probes  [][2]int // logged (in, out) of every Blocked call
 }
 
-func newTableView(in, out int) *tableView {
-	v := &tableView{in: in, out: out}
+func newTable(in, out int) *table {
+	v := &table{in: in, out: out, reads: 1, rowBuf: make([]uint64, in)}
 	v.queues = make([][]int, in)
 	v.blocked = make([][]bool, in)
-	v.maxReads = make([]int, in)
 	for i := 0; i < in; i++ {
 		v.queues[i] = make([]int, out)
 		v.blocked[i] = make([]bool, out)
-		v.maxReads[i] = 1
 	}
 	return v
 }
 
-func (v *tableView) Ports() (int, int)     { return v.in, v.out }
-func (v *tableView) QueueLen(i, o int) int { return v.queues[i][o] }
-func (v *tableView) InputLen(i int) int {
+// rows derives the request matrix: bit o of row i is set iff queue
+// (i, o) holds a packet.
+func (v *table) rows() []uint64 {
+	for i, q := range v.queues {
+		v.rowBuf[i] = 0
+		for o, n := range q {
+			if n > 0 {
+				v.rowBuf[i] |= 1 << uint(o)
+			}
+		}
+	}
+	return v.rowBuf
+}
+
+// arbitrate runs a's mask routine on the table's current state.
+func (v *table) arbitrate(a *Arbiter, dst []Grant) []Grant {
+	return a.Arbitrate(v.rows(), v.reads, v, dst)
+}
+
+func (v *table) Blocked(i, o int) bool {
+	if v.record {
+		v.probes = append(v.probes, [2]int{i, o})
+	}
+	return v.blocked[i][o]
+}
+func (v *table) Len(i, o int) int       { return v.queues[i][o] }
+func (v *table) Ports() (int, int)      { return v.in, v.out }
+func (v *table) QueueLen(i, o int) int  { return v.queues[i][o] }
+func (v *table) MaxReads(int) int       { return v.reads }
+func (v *table) set(i, o, n int)        { v.queues[i][o] = n }
+func (v *table) block(i, o int, b bool) { v.blocked[i][o] = b }
+func (v *table) InputLen(i int) int {
 	total := 0
 	for _, n := range v.queues[i] {
 		total += n
 	}
 	return total
 }
-func (v *tableView) Blocked(i, o int) bool  { return v.blocked[i][o] }
-func (v *tableView) MaxReads(i int) int     { return v.maxReads[i] }
-func (v *tableView) set(i, o, n int)        { v.queues[i][o] = n }
-func (v *tableView) block(i, o int, b bool) { v.blocked[i][o] = b }
 
 func TestPolicyString(t *testing.T) {
 	if Dumb.String() != "dumb" || Smart.String() != "smart" {
@@ -63,10 +94,10 @@ func TestParsePolicy(t *testing.T) {
 
 func TestLongestQueueWins(t *testing.T) {
 	a := New(Dumb, 4, 4)
-	v := newTableView(4, 4)
+	v := newTable(4, 4)
 	v.set(0, 1, 2)
 	v.set(0, 3, 5) // longest
-	grants := a.Arbitrate(v, nil)
+	grants := v.arbitrate(a, nil)
 	if len(grants) != 1 || grants[0] != (Grant{In: 0, Out: 3}) {
 		t.Fatalf("grants = %v", grants)
 	}
@@ -74,11 +105,11 @@ func TestLongestQueueWins(t *testing.T) {
 
 func TestOneGrantPerOutput(t *testing.T) {
 	a := New(Dumb, 4, 4)
-	v := newTableView(4, 4)
+	v := newTable(4, 4)
 	for i := 0; i < 4; i++ {
 		v.set(i, 2, 1) // everyone wants output 2
 	}
-	grants := a.Arbitrate(v, nil)
+	grants := v.arbitrate(a, nil)
 	if len(grants) != 1 {
 		t.Fatalf("output 2 granted %d times", len(grants))
 	}
@@ -86,11 +117,11 @@ func TestOneGrantPerOutput(t *testing.T) {
 
 func TestOneGrantPerSingleReadBuffer(t *testing.T) {
 	a := New(Dumb, 4, 4)
-	v := newTableView(4, 4)
+	v := newTable(4, 4)
 	v.set(0, 0, 1)
 	v.set(0, 1, 1)
 	v.set(0, 2, 1)
-	grants := a.Arbitrate(v, nil)
+	grants := v.arbitrate(a, nil)
 	if len(grants) != 1 {
 		t.Fatalf("single-read buffer got %d grants", len(grants))
 	}
@@ -98,12 +129,12 @@ func TestOneGrantPerSingleReadBuffer(t *testing.T) {
 
 func TestSAFCMultiRead(t *testing.T) {
 	a := New(Dumb, 4, 4)
-	v := newTableView(4, 4)
-	v.maxReads[0] = 4
+	v := newTable(4, 4)
+	v.reads = 4
 	v.set(0, 0, 1)
 	v.set(0, 1, 1)
 	v.set(0, 2, 1)
-	grants := a.Arbitrate(v, nil)
+	grants := v.arbitrate(a, nil)
 	if len(grants) != 3 {
 		t.Fatalf("multi-read buffer got %d grants, want 3", len(grants))
 	}
@@ -118,11 +149,11 @@ func TestSAFCMultiRead(t *testing.T) {
 
 func TestBlockedQueueSkipped(t *testing.T) {
 	a := New(Dumb, 2, 2)
-	v := newTableView(2, 2)
+	v := newTable(2, 2)
 	v.set(0, 0, 5)
 	v.set(0, 1, 1)
 	v.block(0, 0, true)
-	grants := a.Arbitrate(v, nil)
+	grants := v.arbitrate(a, nil)
 	if len(grants) != 1 || grants[0].Out != 1 {
 		t.Fatalf("grants = %v, want the unblocked queue", grants)
 	}
@@ -130,23 +161,23 @@ func TestBlockedQueueSkipped(t *testing.T) {
 
 func TestNothingEligible(t *testing.T) {
 	a := New(Smart, 2, 2)
-	v := newTableView(2, 2)
+	v := newTable(2, 2)
 	v.set(0, 0, 3)
 	v.block(0, 0, true)
-	if grants := a.Arbitrate(v, nil); len(grants) != 0 {
+	if grants := v.arbitrate(a, nil); len(grants) != 0 {
 		t.Fatalf("grants = %v, want none", grants)
 	}
 }
 
 func TestDumbRoundRobinRotates(t *testing.T) {
 	a := New(Dumb, 2, 2)
-	v := newTableView(2, 2)
+	v := newTable(2, 2)
 	// Both inputs always want output 0; dumb RR must alternate winners.
 	v.set(0, 0, 1)
 	v.set(1, 0, 1)
 	winners := []int{}
 	for c := 0; c < 4; c++ {
-		g := a.Arbitrate(v, nil)
+		g := v.arbitrate(a, nil)
 		if len(g) != 1 {
 			t.Fatalf("cycle %d: %v", c, g)
 		}
@@ -164,18 +195,18 @@ func TestSmartPriorityNotCountedWhenBlocked(t *testing.T) {
 	// Input 0 has priority but is fully blocked; with smart arbitration it
 	// must keep priority next cycle (its turn is not counted).
 	a := New(Smart, 2, 2)
-	v := newTableView(2, 2)
+	v := newTable(2, 2)
 	v.set(0, 0, 1)
 	v.block(0, 0, true)
 	v.set(1, 1, 1)
-	g := a.Arbitrate(v, nil)
+	g := v.arbitrate(a, nil)
 	if len(g) != 1 || g[0].In != 1 {
 		t.Fatalf("cycle 0 grants = %v", g)
 	}
 	// Unblock input 0: it should win output 0 immediately and input 1
 	// should also win output 1 (different outputs).
 	v.block(0, 0, false)
-	g = a.Arbitrate(v, nil)
+	g = v.arbitrate(a, nil)
 	if len(g) != 2 {
 		t.Fatalf("cycle 1 grants = %v", g)
 	}
@@ -190,12 +221,12 @@ func TestSmartEmptyHolderDoesNotRetainPriority(t *testing.T) {
 	// and the next buffer in order would win every contested output
 	// indefinitely (the starvation bug this test pins down).
 	a := New(Smart, 3, 3)
-	v := newTableView(3, 3)
+	v := newTable(3, 3)
 	v.set(1, 0, 1)
 	v.set(2, 0, 1)
 	winners := map[int]int{}
 	for c := 0; c < 40; c++ {
-		g := a.Arbitrate(v, nil)
+		g := v.arbitrate(a, nil)
 		if len(g) != 1 {
 			t.Fatalf("cycle %d: %v", c, g)
 		}
@@ -209,15 +240,15 @@ func TestSmartEmptyHolderDoesNotRetainPriority(t *testing.T) {
 
 func TestDumbPriorityAlwaysAdvances(t *testing.T) {
 	a := New(Dumb, 2, 2)
-	v := newTableView(2, 2)
+	v := newTable(2, 2)
 	v.set(0, 0, 1)
 	v.block(0, 0, true)
-	a.Arbitrate(v, nil) // input 0 had priority, transmitted nothing
+	v.arbitrate(a, nil) // input 0 had priority, transmitted nothing
 	// Priority must have moved to input 1 anyway: with both unblocked and
 	// contending for output 0, input 1 now wins.
 	v.block(0, 0, false)
 	v.set(1, 0, 1)
-	g := a.Arbitrate(v, nil)
+	g := v.arbitrate(a, nil)
 	if len(g) != 1 || g[0].In != 1 {
 		t.Fatalf("grants = %v, want input 1 to hold priority", g)
 	}
@@ -225,7 +256,7 @@ func TestDumbPriorityAlwaysAdvances(t *testing.T) {
 
 func TestStaleCountPrefersStarvedQueue(t *testing.T) {
 	a := New(Smart, 1, 2)
-	v := newTableView(1, 2)
+	v := newTable(1, 2)
 	// Queue for output 1 waits while output 1 is blocked; queue 0 keeps
 	// transmitting. When output 1 unblocks, its higher stale count must
 	// beat queue 0's greater length.
@@ -233,7 +264,7 @@ func TestStaleCountPrefersStarvedQueue(t *testing.T) {
 	v.set(0, 1, 1)
 	v.block(0, 1, true)
 	for c := 0; c < 3; c++ {
-		g := a.Arbitrate(v, nil)
+		g := v.arbitrate(a, nil)
 		if len(g) != 1 || g[0].Out != 0 {
 			t.Fatalf("cycle %d: %v", c, g)
 		}
@@ -242,7 +273,7 @@ func TestStaleCountPrefersStarvedQueue(t *testing.T) {
 		t.Fatalf("stale = %d, want 3", a.Stale(0, 1))
 	}
 	v.block(0, 1, false)
-	g := a.Arbitrate(v, nil)
+	g := v.arbitrate(a, nil)
 	if len(g) != 1 || g[0].Out != 1 {
 		t.Fatalf("stale queue not preferred: %v", g)
 	}
@@ -253,15 +284,15 @@ func TestStaleCountPrefersStarvedQueue(t *testing.T) {
 
 func TestDumbIgnoresStale(t *testing.T) {
 	a := New(Dumb, 1, 2)
-	v := newTableView(1, 2)
+	v := newTable(1, 2)
 	v.set(0, 0, 5)
 	v.set(0, 1, 1)
 	v.block(0, 1, true)
 	for c := 0; c < 3; c++ {
-		a.Arbitrate(v, nil)
+		v.arbitrate(a, nil)
 	}
 	v.block(0, 1, false)
-	g := a.Arbitrate(v, nil)
+	g := v.arbitrate(a, nil)
 	// Dumb ignores stale counts: longest queue (output 0) still wins.
 	if len(g) != 1 || g[0].Out != 0 {
 		t.Fatalf("grants = %v, want longest queue", g)
@@ -270,10 +301,10 @@ func TestDumbIgnoresStale(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	a := New(Smart, 2, 2)
-	v := newTableView(2, 2)
+	v := newTable(2, 2)
 	v.set(0, 0, 1)
 	v.block(0, 0, true)
-	a.Arbitrate(v, nil)
+	v.arbitrate(a, nil)
 	if a.Stale(0, 0) == 0 {
 		t.Fatal("stale should be nonzero before reset")
 	}
@@ -290,31 +321,31 @@ func TestArbitratePanicsOnMismatchedView(t *testing.T) {
 		}
 	}()
 	a := New(Dumb, 2, 2)
-	a.Arbitrate(newTableView(3, 3), nil)
+	newTable(3, 3).arbitrate(a, nil)
 }
 
 // TestMatchingValidityProperty: for random views, the matching is always
-// valid (≤1 grant per output, ≤MaxReads per input, only eligible pairs)
+// valid (≤1 grant per output, ≤reads per input, only eligible pairs)
 // and maximal per the examination order (no eligible pair left when both
 // sides are free).
 func TestMatchingValidityProperty(t *testing.T) {
-	f := func(queues [4][4]uint8, blocked [4][4]bool, smart bool, safc [4]bool) bool {
+	f := func(queues [4][4]uint8, blocked [4][4]bool, smart bool, safc bool) bool {
 		policy := Dumb
 		if smart {
 			policy = Smart
 		}
 		a := New(policy, 4, 4)
-		v := newTableView(4, 4)
+		v := newTable(4, 4)
+		if safc {
+			v.reads = 4
+		}
 		for i := 0; i < 4; i++ {
-			if safc[i] {
-				v.maxReads[i] = 4
-			}
 			for o := 0; o < 4; o++ {
 				v.set(i, o, int(queues[i][o]%4))
 				v.block(i, o, blocked[i][o])
 			}
 		}
-		grants := a.Arbitrate(v, nil)
+		grants := v.arbitrate(a, nil)
 		outSeen := map[int]bool{}
 		inCount := map[int]int{}
 		for _, g := range grants {
@@ -323,7 +354,7 @@ func TestMatchingValidityProperty(t *testing.T) {
 			}
 			outSeen[g.Out] = true
 			inCount[g.In]++
-			if inCount[g.In] > v.MaxReads(g.In) {
+			if inCount[g.In] > v.reads {
 				return false // read-port violation
 			}
 			if v.queues[g.In][g.Out] == 0 || v.blocked[g.In][g.Out] {
@@ -333,7 +364,7 @@ func TestMatchingValidityProperty(t *testing.T) {
 		// Maximality: no input with remaining read capacity has an
 		// eligible queue for a free output.
 		for i := 0; i < 4; i++ {
-			if inCount[i] >= v.MaxReads(i) {
+			if inCount[i] >= v.reads {
 				continue
 			}
 			for o := 0; o < 4; o++ {
@@ -349,18 +380,26 @@ func TestMatchingValidityProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkArbitrate4x4(b *testing.B) {
-	a := New(Smart, 4, 4)
-	v := newTableView(4, 4)
-	for i := 0; i < 4; i++ {
-		for o := 0; o < 4; o++ {
-			v.set(i, o, (i+o)%3)
-		}
-	}
-	var grants []Grant
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		grants = a.Arbitrate(v, grants[:0])
+// BenchmarkArbitrate times one matching of a busy switch. The request
+// rows are built once outside the loop: in a switch they are one
+// HeadMask read per input.
+func BenchmarkArbitrate(b *testing.B) {
+	for _, n := range []int{2, 4} {
+		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
+			a := New(Smart, n, n)
+			v := newTable(n, n)
+			for i := 0; i < n; i++ {
+				for o := 0; o < n; o++ {
+					v.set(i, o, (i+o)%3)
+				}
+			}
+			rows := v.rows()
+			var grants []Grant
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				grants = a.Arbitrate(rows, 1, v, grants[:0])
+			}
+		})
 	}
 }
 
@@ -374,22 +413,22 @@ func TestAdvanceIdleMatchesEmptyArbitration(t *testing.T) {
 		for _, k := range []int64{0, 1, 2, 3, 4, 5, 7, 8, 100, 101} {
 			stepped := New(policy, 4, 4)
 			jumped := New(policy, 4, 4)
-			empty := newTableView(4, 4)
+			empty := newTable(4, 4)
 			for i := int64(0); i < k; i++ {
-				if g := stepped.Arbitrate(empty, nil); len(g) != 0 {
+				if g := empty.arbitrate(stepped, nil); len(g) != 0 {
 					t.Fatalf("%v: empty view produced grants %v", policy, g)
 				}
 			}
 			jumped.AdvanceIdle(k)
 
 			// Same traffic must now yield the same grants from both.
-			busy := newTableView(4, 4)
+			busy := newTable(4, 4)
 			busy.set(0, 1, 2)
 			busy.set(1, 1, 1)
 			busy.set(2, 3, 1)
 			busy.set(3, 2, 4)
-			gs := stepped.Arbitrate(busy, nil)
-			gj := jumped.Arbitrate(busy, nil)
+			gs := busy.arbitrate(stepped, nil)
+			gj := busy.arbitrate(jumped, nil)
 			if len(gs) != len(gj) {
 				t.Fatalf("%v k=%d: grant counts differ: %v vs %v", policy, k, gs, gj)
 			}

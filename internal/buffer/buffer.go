@@ -242,6 +242,10 @@ type Buffer interface {
 	// CanAccept reports whether p (with OutPort set) fits right now — the
 	// admission policy's decision.
 	CanAccept(p *packet.Packet) bool
+	// CanAcceptTo is CanAccept for p routed to out, whatever p.OutPort
+	// says: an upstream switch asks it about a packet it has not yet
+	// routed for this stage, without copying the packet.
+	CanAcceptTo(out int, p *packet.Packet) bool
 	// Accept stores p. It returns an error if CanAccept(p) is false or
 	// p.OutPort is out of range.
 	Accept(p *packet.Packet) error
@@ -251,6 +255,9 @@ type Buffer interface {
 	QueueLen(out int) int
 	// Head returns the packet deliverable to out this cycle, or nil.
 	Head(out int) *packet.Packet
+	// HeadMask has bit out set iff Head(out) is not nil, in O(1). It is
+	// this input's row of the crossbar arbiter's request matrix.
+	HeadMask() uint64
 	// Pop removes and returns Head(out); nil if there is none.
 	Pop(out int) *packet.Packet
 	// MaxReadsPerCycle is how many packets may leave per long cycle.
@@ -316,6 +323,9 @@ func (s Sharing) delayTarget() int64 {
 	return defaultDelayTarget
 }
 
+// MaxOutputs bounds NumOutputs: a buffer's HeadMask is one 64-bit word.
+const MaxOutputs = 64
+
 // Config describes a buffer to construct.
 type Config struct {
 	Kind       Kind
@@ -362,8 +372,8 @@ func (cfg Config) Validate() error {
 	if cfg.Kind < FIFO || int(cfg.Kind) >= len(kindNames) {
 		return fmt.Errorf("buffer: unknown kind %v: %w", cfg.Kind, cfgerr.ErrBadKind)
 	}
-	if cfg.NumOutputs <= 0 {
-		return fmt.Errorf("buffer: NumOutputs must be positive, got %d: %w", cfg.NumOutputs, cfgerr.ErrBadPorts)
+	if cfg.NumOutputs <= 0 || cfg.NumOutputs > MaxOutputs {
+		return fmt.Errorf("buffer: NumOutputs must be in [1, %d], got %d: %w", MaxOutputs, cfg.NumOutputs, cfgerr.ErrBadPorts)
 	}
 	if cfg.Capacity <= 0 {
 		return fmt.Errorf("buffer: Capacity must be positive, got %d: %w", cfg.Capacity, cfgerr.ErrBadCapacity)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"damq/internal/cfgerr"
 	"damq/internal/packet"
 )
 
@@ -43,6 +44,12 @@ func TestParseKind(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Kind: FIFO, NumOutputs: 0, Capacity: 4}); err == nil {
 		t.Error("accepted zero outputs")
+	}
+	if _, err := New(Config{Kind: DAMQ, NumOutputs: MaxOutputs + 1, Capacity: 4}); !errors.Is(err, cfgerr.ErrBadPorts) {
+		t.Errorf("%d outputs: got %v, want ErrBadPorts (HeadMask is one word)", MaxOutputs+1, err)
+	}
+	if _, err := New(Config{Kind: DAMQ, NumOutputs: MaxOutputs, Capacity: 4}); err != nil {
+		t.Errorf("%d outputs rejected: %v", MaxOutputs, err)
 	}
 	if _, err := New(Config{Kind: FIFO, NumOutputs: 4, Capacity: 0}); err == nil {
 		t.Error("accepted zero capacity")

@@ -96,26 +96,30 @@ func (c *composed) Len() int { return c.pkts }
 // damqvet:hotpath
 func (c *composed) Empty() bool { return c.pkts == 0 }
 
-// queueOf maps a routed packet to its pool queue.
+// queueOf maps a local output port to its pool queue.
 // damqvet:hotpath
-func (c *composed) queueOf(p *packet.Packet) int {
+func (c *composed) queueOf(out int) int {
 	if c.single {
 		return c.qBase
 	}
-	return c.qBase + p.OutPort
+	return c.qBase + out
 }
 
-// CanAccept asks the admission policy whether p fits right now. The pool
-// fit check runs first so policies may assume p.Slots <= FreeSlots.
 // damqvet:hotpath
-func (c *composed) CanAccept(p *packet.Packet) bool {
-	if c.portCheck && (p.OutPort < 0 || p.OutPort >= c.numOutputs) {
+func (c *composed) CanAccept(p *packet.Packet) bool { return c.CanAcceptTo(p.OutPort, p) }
+
+// CanAcceptTo asks the admission policy whether p, routed to out, fits
+// right now. The pool fit check runs first so policies may assume
+// p.Slots <= FreeSlots.
+// damqvet:hotpath
+func (c *composed) CanAcceptTo(out int, p *packet.Packet) bool {
+	if c.portCheck && (out < 0 || out >= c.numOutputs) {
 		return false
 	}
 	if p.Slots > c.g.pool.freeCount {
 		return false
 	}
-	return c.g.policy.Admit(p, c.g, c.queueOf(p))
+	return c.g.policy.Admit(p, c.g, c.queueOf(out))
 }
 
 func (c *composed) Accept(p *packet.Packet) error {
@@ -132,7 +136,7 @@ func (c *composed) Accept(p *packet.Packet) error {
 		}
 		return fmt.Errorf("%s: %w (free %d, need %d)", c.prefix, ErrFull, c.g.pool.freeCount, p.Slots)
 	}
-	c.g.pool.Push(c.queueOf(p), p)
+	c.g.pool.Push(c.queueOf(p.OutPort), p)
 	if c.g.classSlots != nil {
 		c.g.classSlots[classOf(p, c.g.classes)] += p.Slots
 	}
@@ -150,6 +154,20 @@ func (c *composed) QueueLen(out int) int {
 		return c.g.pool.qPkts[c.qBase]
 	}
 	return c.g.pool.qPkts[c.qBase+out]
+}
+
+// HeadMask is a shift and a mask of the pool's occupancy word for the
+// per-output kinds, and the bit of the head packet's output for a FIFO.
+// damqvet:hotpath
+func (c *composed) HeadMask() uint64 {
+	if c.single {
+		head := c.g.pool.Head(c.qBase)
+		if head == nil {
+			return 0
+		}
+		return 1 << uint(head.OutPort)
+	}
+	return c.g.pool.occupied(c.qBase, c.numOutputs)
 }
 
 // damqvet:hotpath

@@ -398,7 +398,26 @@ type quarantiner interface {
 	Quarantined() int
 }
 
-func newLegacyBuffer(t *testing.T, k Kind, outputs, capacity int) Buffer {
+// seedBuffer is the Buffer contract as the seed kinds implemented it,
+// before HeadMask and CanAcceptTo joined it; compareState checks those
+// two on the composed side against the seed twin's Head and CanAccept.
+type seedBuffer interface {
+	Kind() Kind
+	NumOutputs() int
+	Capacity() int
+	Free() int
+	Len() int
+	Empty() bool
+	CanAccept(p *packet.Packet) bool
+	Accept(p *packet.Packet) error
+	QueueLen(out int) int
+	Head(out int) *packet.Packet
+	Pop(out int) *packet.Packet
+	MaxReadsPerCycle() int
+	Reset()
+}
+
+func newLegacyBuffer(t *testing.T, k Kind, outputs, capacity int) seedBuffer {
 	t.Helper()
 	switch k {
 	case FIFO:
@@ -417,7 +436,7 @@ func newLegacyBuffer(t *testing.T, k Kind, outputs, capacity int) Buffer {
 
 // compareState fails the test when the composed buffer's observable
 // state differs in any way from the legacy implementation's.
-func compareState(t *testing.T, k Kind, seed uint64, step int, op string, got, want Buffer) {
+func compareState(t *testing.T, k Kind, seed uint64, step int, op string, got Buffer, want seedBuffer) {
 	t.Helper()
 	if got.Len() != want.Len() || got.Free() != want.Free() || got.Empty() != want.Empty() {
 		t.Fatalf("%v seed %d step %d after %s: len/free/empty = %d/%d/%v, legacy %d/%d/%v",
@@ -435,6 +454,10 @@ func compareState(t *testing.T, k Kind, seed uint64, step int, op string, got, w
 		if got.Head(out) != want.Head(out) {
 			t.Fatalf("%v seed %d step %d after %s: Head(%d) = %v, legacy %v",
 				k, seed, step, op, out, got.Head(out), want.Head(out))
+		}
+		if bit := got.HeadMask()>>uint(out)&1 != 0; bit != (want.Head(out) != nil) {
+			t.Fatalf("%v seed %d step %d after %s: HeadMask bit %d = %v, legacy Head %v",
+				k, seed, step, op, out, bit, want.Head(out))
 		}
 	}
 	gq, gok := got.(quarantiner)
@@ -480,6 +503,10 @@ func TestLegacyKindsBitIdentical(t *testing.T) {
 					if gc, lc := composed.CanAccept(p), legacy.CanAccept(p); gc != lc {
 						t.Fatalf("%v seed %d step %d: CanAccept = %v, legacy %v (out %d slots %d)",
 							k, seed, step, gc, lc, out, p.Slots)
+					}
+					if gt := composed.CanAcceptTo(out, &packet.Packet{ID: id, Slots: p.Slots}); gt != composed.CanAccept(p) {
+						t.Fatalf("%v seed %d step %d: CanAcceptTo(%d) on an unrouted copy = %v, CanAccept %v",
+							k, seed, step, out, gt, !gt)
 					}
 					ge, le := composed.Accept(p), legacy.Accept(p)
 					if (ge == nil) != (le == nil) {

@@ -14,7 +14,8 @@ import (
 // indices and delay-driven admission reads enqueue stamps). The derived
 // per-view and per-group counters of the composed buffers are not
 // serialized; ResyncAfterRestore recomputes them and then audits the
-// loaded pool with CheckInvariants.
+// loaded pool with CheckInvariants. The pool's occupancy word is derived
+// too: LoadState rebuilds it from the per-queue packet counters.
 
 // SlotPoolState is the serializable state of one SlotPool. Owner maps
 // each slot to an index into Packets (-1 for none), so the caller
@@ -159,6 +160,12 @@ func (sp *SlotPool) LoadState(st *SlotPoolState) error {
 	copy(sp.qTail, st.QTail)
 	copy(sp.qPkts, st.QPkts)
 	copy(sp.qSlots, st.QSlots)
+	clear(sp.occ)
+	for q, n := range sp.qPkts {
+		if n > 0 {
+			sp.occ[q>>6] |= 1 << uint(q&63)
+		}
+	}
 	sp.freeHead, sp.freeTail, sp.freeCount = st.FreeHead, st.FreeTail, st.FreeCount
 	sp.quar, sp.quarCount = nil, st.QuarCount
 	if st.Quar != nil {

@@ -7,31 +7,6 @@ import (
 	"damq/internal/packet"
 )
 
-// Storage is the slot-pool contract of the admission/storage split: a
-// fixed pool of packet slots threaded into per-queue linked lists, the
-// hardware structure of Tamir & Frazier's DAMQ generalized to any queue
-// count. Storage answers only "where do packets live"; whether a packet
-// may enter at all is the AdmissionPolicy's question. Push has no
-// admission logic and must only be called after the caller has
-// established p.Slots <= FreeSlots() (composed buffers do this via
-// their policy).
-//
-// SlotPool is the one implementation; the interface documents the
-// contract an alternative backend (e.g. a banked RAM model) would have
-// to meet.
-type Storage interface {
-	NumQueues() int
-	Capacity() int
-	FreeSlots() int
-	Packets() int
-	QueueLen(q int) int
-	QueueSlots(q int) int
-	Head(q int) *packet.Packet
-	Push(q int, p *packet.Packet)
-	Pop(q int) *packet.Packet
-	Reset()
-}
-
 // SlotPool is the dynamically allocated slot pool of Tamir & Frazier —
 // the storage half of every buffer kind in this package. It is
 // deliberately implemented the way the hardware works rather than with
@@ -73,6 +48,13 @@ type SlotPool struct {
 	qPkts  []int   // packets per queue
 	qSlots []int   // slots per queue
 
+	// occ is the occupancy word: bit q is set iff queue q holds a packet,
+	// the software form of the per-queue valid bits an arbiter reads in
+	// one go. It is derived from qPkts, never serialized, and for pools
+	// of at most 64 queues it aliases occ1, so it costs no allocation.
+	occ  []uint64
+	occ1 [1]uint64
+
 	// Quarantine state, nil until the first QuarantineSlot call so the
 	// fault-free pool pays nothing beyond one nil check in giveFree.
 	// A quarantined slot is on no list: the pool's capacity shrinks
@@ -108,6 +90,10 @@ func NewSlotPool(numQueues, capacity int) *SlotPool {
 		qTail:     make([]int32, numQueues),
 		qPkts:     make([]int, numQueues),
 		qSlots:    make([]int, numQueues),
+	}
+	sp.occ = sp.occ1[:]
+	if numQueues > 64 {
+		sp.occ = make([]uint64, (numQueues+63)/64)
 	}
 	sp.Reset()
 	return sp
@@ -208,6 +194,7 @@ func (sp *SlotPool) Push(q int, p *packet.Packet) {
 	sp.qPkts[q]++
 	sp.qSlots[q] += p.Slots
 	sp.pkts++
+	sp.occ[q>>6] |= 1 << uint(q&63)
 }
 
 // Pop removes and returns the head packet of queue q, or nil.
@@ -233,7 +220,23 @@ func (sp *SlotPool) Pop(q int) *packet.Packet {
 	sp.qPkts[q]--
 	sp.qSlots[q] -= p.Slots
 	sp.pkts--
+	if sp.qPkts[q] == 0 {
+		sp.occ[q>>6] &^= 1 << uint(q&63)
+	}
 	return p
+}
+
+// occupied returns the occupancy bits of queues [base, base+n) as a mask
+// whose bit i stands for queue base+i; n is at most 64. A per-port view
+// reads its row of a shared pool's word with one shift and one mask.
+// damqvet:hotpath
+func (sp *SlotPool) occupied(base, n int) uint64 {
+	w, sh := base>>6, uint(base&63)
+	m := sp.occ[w] >> sh
+	if sh+uint(n) > 64 {
+		m |= sp.occ[w+1] << (64 - sh)
+	}
+	return m & (1<<uint(n) - 1)
 }
 
 // EnableClock allocates the per-slot enqueue stamps that HeadAge reads.
@@ -363,6 +366,7 @@ func (sp *SlotPool) Reset() {
 		sp.qPkts[i] = 0
 		sp.qSlots[i] = 0
 	}
+	clear(sp.occ)
 	sp.pkts = 0
 }
 
@@ -457,6 +461,9 @@ func (sp *SlotPool) CheckInvariants(expect func(q int) int) error {
 		if pkts == 0 && (sp.qHead[q] != nilSlot || sp.qTail[q] != nilSlot) {
 			return fmt.Errorf("slotpool: empty queue %d has live head/tail registers", q)
 		}
+		if set := sp.occ[q>>6]>>uint(q&63)&1 != 0; set != (pkts > 0) {
+			return fmt.Errorf("slotpool: occupancy bit of queue %d is %v, queue holds %d packets", q, set, pkts)
+		}
 		total += slots
 	}
 	quarSlots := 0
@@ -471,6 +478,9 @@ func (sp *SlotPool) CheckInvariants(expect func(q int) int) error {
 			seen[s] = true
 			quarSlots++
 		}
+	}
+	if last := len(sp.occ) - 1; sp.occ[last]>>uint(sp.numQueues-64*last) != 0 {
+		return fmt.Errorf("slotpool: occupancy word has bits past queue %d", sp.numQueues-1)
 	}
 	if quarSlots != sp.quarCount {
 		return fmt.Errorf("slotpool: %d slots quarantined, counter says %d", quarSlots, sp.quarCount)
@@ -525,5 +535,3 @@ func (sp *SlotPool) Dump() string {
 	}
 	return sb.String()
 }
-
-var _ Storage = (*SlotPool)(nil)

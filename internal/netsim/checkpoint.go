@@ -340,7 +340,9 @@ func (s *Sim) decodeSwitches(d *checkpoint.Decoder) error {
 			if err := s.decodeSwitchPools(d, st, si, swc); err != nil {
 				return err
 			}
-			swc.ResyncLen()
+			if err := swc.Resync(); err != nil {
+				return ckptErr("stage %d switch %d: %v", st, si, err)
+			}
 		}
 	}
 	return nil

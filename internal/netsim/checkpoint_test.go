@@ -446,6 +446,60 @@ func TestCheckpointStructuralCorruption(t *testing.T) {
 	}), "oversized geometry")
 }
 
+// TestCheckpointRejectsStaleOnEmptyQueue: arbitration skips input rows
+// with no traffic on the premise that their stale counts are zero, so a
+// checkpoint whose arbiter ages an empty queue cannot have come from a
+// run. It is CRC-valid and well-formed, and restore must still refuse it
+// with a typed error rather than resume a run that never happened.
+func TestCheckpointRejectsStaleOnEmptyQueue(t *testing.T) {
+	cfg := Config{
+		Radix: 4, Inputs: 16, Capacity: 4, WarmupCycles: 10, MeasureCycles: 40, Seed: 3,
+		BufferKind: buffer.DAMQ, Protocol: sw.Blocking,
+		Traffic: TrafficSpec{Kind: Uniform, Load: 0.5},
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 20; i++ {
+		s.Step(false)
+	}
+	var clean bytes.Buffer
+	if err := s.Checkpoint(&clean); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := RestoreSim(bytes.NewReader(clean.Bytes())); err != nil {
+		t.Fatalf("unaltered checkpoint: %v", err)
+	} else {
+		r.Close()
+	}
+	// Age the first empty queue found.
+	swc := s.stages[0][0]
+	in, out := -1, -1
+	for i := 0; i < swc.Ports() && in < 0; i++ {
+		for o := 0; o < swc.Ports(); o++ {
+			if swc.Buffer(i).Head(o) == nil {
+				in, out = i, o
+				break
+			}
+		}
+	}
+	if in < 0 {
+		t.Fatal("switch has no empty queue to age")
+	}
+	st := swc.Arbiter().SaveState()
+	st.Stale[in*swc.Ports()+out] = 3
+	if err := swc.Arbiter().LoadState(st); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := s.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	wantCheckpointError(t, buf.Bytes(), "stale count on an empty queue")
+}
+
 // TestCheckpointRejectsTrailingGarbage: extra bytes after a section body
 // or after the payload are corruption, not slack.
 func TestCheckpointRejectsTrailingGarbage(t *testing.T) {

@@ -438,9 +438,6 @@ type shard struct {
 	// probes holds one blocking probe per (stage, owned switch), built at
 	// construction: creating the closures inside the step would allocate.
 	probes [][]sw.BlockProbe
-	// probePkt is scratch for the blocking probe's routed copy of a head
-	// packet; one per shard so concurrent probes never share it.
-	probePkt packet.Packet
 
 	grantScratch []arbiter.Grant
 	// pending records the arbitrate phase's grants; pops are deferred to
@@ -545,7 +542,7 @@ func New(cfg Config) (*Sim, error) {
 			}
 			sh.probes[st] = make([]sw.BlockProbe, own)
 			for si := sh.lo; si < sh.hi; si++ {
-				sh.probes[st][si-sh.lo] = sh.blockProbe(st, si)
+				sh.probes[st][si-sh.lo] = s.blockProbe(st, si)
 			}
 		}
 		sh.grantScratch = make([]arbiter.Grant, 0, cfg.Radix)
@@ -656,20 +653,14 @@ func (sh *shard) activate(st, si int) {
 // would enter cannot store it right now. The downstream switch may belong
 // to any shard; the probe only reads it, and only in the arbitrate phase,
 // when no buffer changes anywhere.
-func (sh *shard) blockProbe(st, si int) sw.BlockProbe {
-	s := sh.sim
+func (s *Sim) blockProbe(st, si int) sw.BlockProbe {
 	if s.cfg.Protocol != sw.Blocking || st == s.top.Stages()-1 {
 		// Last stage feeds memories, which always accept.
 		return nil
 	}
 	return func(out int, p *packet.Packet) bool {
 		nsw, nport := s.top.NextStage(si, out)
-		// Probe with a routed copy so p itself is not mutated; the copy
-		// lives in shard-owned scratch to keep the probe allocation-free
-		// and race-free across concurrent shards.
-		sh.probePkt = *p
-		sh.probePkt.OutPort = s.top.RouteDigit(p.Dest, st+1)
-		return !s.stages[st+1][nsw].CanAcceptAt(nport, &sh.probePkt)
+		return !s.stages[st+1][nsw].CanAcceptAt(nport, s.top.RouteDigit(p.Dest, st+1), p)
 	}
 }
 

@@ -117,9 +117,14 @@ type Switch struct {
 	// cycle. It stays correct as long as buffer contents change only
 	// through Offer, PopGrant, and Reset.
 	count int
-	// v is the reusable arbiter view: constructing it per Arbitrate call
-	// would heap-allocate one adapter per switch per network cycle.
-	v view
+	// rows is the arbiter's request matrix, one HeadMask per input,
+	// refilled every Arbitrate call; reads is the inputs' common
+	// read-port limit.
+	rows  []uint64
+	reads int
+	// probe is the caller's block probe, held only for the duration of
+	// one Arbitrate call.
+	probe BlockProbe
 	// m holds the observability probes; nil (the default) keeps every
 	// hot-path probe behind a never-taken branch.
 	m *Metrics
@@ -161,8 +166,9 @@ func New(cfg Config) (*Switch, error) {
 		return nil, err
 	}
 	s := &Switch{
-		cfg: cfg,
-		arb: arbiter.New(cfg.Policy, cfg.Ports, cfg.Ports),
+		cfg:  cfg,
+		arb:  arbiter.New(cfg.Policy, cfg.Ports, cfg.Ports),
+		rows: make([]uint64, cfg.Ports),
 	}
 	if cfg.SharedPool {
 		bufs, err := buffer.NewSharedGroup(cfg.bufferConfig(), cfg.Ports)
@@ -179,6 +185,7 @@ func New(cfg Config) (*Switch, error) {
 			s.bufs = append(s.bufs, b)
 		}
 	}
+	s.reads = s.bufs[0].MaxReadsPerCycle()
 	if buffer.KindUsesClock(cfg.BufferKind) {
 		for _, b := range s.bufs {
 			if tk, ok := b.(buffer.Ticker); ok {
@@ -250,46 +257,30 @@ func (s *Switch) AdvanceIdle(cycles int64) {
 // nothing ever blocks (discarding protocol, or final stage feeding sinks).
 type BlockProbe func(out int, p *packet.Packet) bool
 
-// view adapts the switch state + probe to the arbiter's View.
-type view struct {
-	s     *Switch
-	probe BlockProbe
-}
-
-// damqvet:hotpath
-func (v *view) Ports() (int, int) { return v.s.cfg.Ports, v.s.cfg.Ports }
-
-// damqvet:hotpath
-func (v *view) InputLen(i int) int { return v.s.bufs[i].Len() }
-
-// damqvet:hotpath
-func (v *view) QueueLen(i, o int) int { return v.s.bufs[i].QueueLen(o) }
-
-// damqvet:hotpath
-func (v *view) MaxReads(i int) int { return v.s.bufs[i].MaxReadsPerCycle() }
-
-// damqvet:hotpath
-func (v *view) Blocked(i, o int) bool {
-	if v.probe == nil {
-		return false
-	}
-	p := v.s.bufs[i].Head(o)
-	if p == nil {
-		return false
-	}
-	return v.probe(o, p)
-}
-
 // Arbitrate computes this cycle's matching. grants is reused storage
 // (pass nil to allocate).
 // damqvet:hotpath
 func (s *Switch) Arbitrate(probe BlockProbe, grants []arbiter.Grant) []arbiter.Grant {
-	s.v.s = s
-	s.v.probe = probe
-	grants = s.arb.Arbitrate(&s.v, grants)
-	s.v.probe = nil // do not retain the probe between cycles
+	for i, b := range s.bufs {
+		s.rows[i] = b.HeadMask()
+	}
+	s.probe = probe
+	grants = s.arb.Arbitrate(s.rows, s.reads, (*queues)(s), grants)
+	s.probe = nil // do not retain the probe between cycles
 	return grants
 }
+
+// queues is the switch as the arbiter's per-candidate Queues. It is a
+// conversion of *Switch, so handing it over allocates nothing.
+type queues Switch
+
+// damqvet:hotpath
+func (q *queues) Blocked(in, out int) bool {
+	return q.probe != nil && q.probe(out, q.bufs[in].Head(out))
+}
+
+// damqvet:hotpath
+func (q *queues) Len(in, out int) int { return q.bufs[in].QueueLen(out) }
 
 // PopGrant removes and returns the packet named by a grant from Arbitrate.
 // It panics if the grant no longer matches a head packet, which would mean
@@ -327,11 +318,12 @@ func (s *Switch) Offer(in int, p *packet.Packet) (accepted bool) {
 	return true
 }
 
-// CanAcceptAt reports whether input in could take p right now. Upstream
-// switches use this as their block probe under the blocking protocol.
+// CanAcceptAt reports whether input in could take p, routed to output
+// out of this switch, right now. Upstream switches use it as their block
+// probe under the blocking protocol; p itself is not modified.
 // damqvet:hotpath
-func (s *Switch) CanAcceptAt(in int, p *packet.Packet) bool {
-	return s.bufs[in].CanAccept(p)
+func (s *Switch) CanAcceptAt(in, out int, p *packet.Packet) bool {
+	return s.bufs[in].CanAcceptTo(out, p)
 }
 
 // Arbiter exposes the switch's crossbar arbiter for the checkpoint
@@ -343,12 +335,15 @@ func (s *Switch) Arbiter() *arbiter.Arbiter { return s.arb }
 // checkpoint codec (under a shared pool all views alias one group).
 func (s *Switch) Buffers() []buffer.Buffer { return s.bufs }
 
-// ResyncLen recomputes the cached switch-wide packet count after the
-// buffers have been checkpoint-restored.
-func (s *Switch) ResyncLen() {
+// Resync recomputes the cached switch-wide packet count after the
+// buffers have been checkpoint-restored, and checks the restored arbiter
+// against them: a stale count on an empty queue is an error.
+func (s *Switch) Resync() error {
 	n := 0
-	for _, b := range s.bufs {
+	for i, b := range s.bufs {
 		n += b.Len()
+		s.rows[i] = b.HeadMask()
 	}
 	s.count = n
+	return s.arb.CheckStale(s.rows)
 }

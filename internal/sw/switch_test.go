@@ -86,15 +86,19 @@ func TestBlockProbeStopsTransmission(t *testing.T) {
 
 func TestCanAcceptAt(t *testing.T) {
 	s := MustNew(Config{Ports: 2, BufferKind: buffer.SAMQ, Capacity: 2, Policy: arbiter.Dumb})
-	if !s.CanAcceptAt(0, routed(1, 0)) {
+	if !s.CanAcceptAt(0, 0, routed(1, 0)) {
 		t.Fatal("empty switch refuses packet")
 	}
 	s.Offer(0, routed(1, 0))
-	if s.CanAcceptAt(0, routed(2, 0)) {
+	if s.CanAcceptAt(0, 0, routed(2, 0)) {
 		t.Fatal("SAMQ 1-slot queue accepted second packet")
 	}
-	if !s.CanAcceptAt(0, routed(3, 1)) {
+	if !s.CanAcceptAt(0, 1, routed(3, 1)) {
 		t.Fatal("SAMQ refused packet for the empty queue")
+	}
+	// The output argument, not p.OutPort, picks the queue.
+	if !s.CanAcceptAt(0, 1, routed(4, 0)) || s.CanAcceptAt(0, 0, routed(5, 1)) {
+		t.Fatal("CanAcceptAt routed by p.OutPort instead of its out argument")
 	}
 }
 

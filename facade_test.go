@@ -265,10 +265,17 @@ func TestFacadeObservedBufferAndChip(t *testing.T) {
 		}
 	}
 	buf.Pop(0)
+	// TryAccept counts like Accept: the freed slot takes one packet, the
+	// next is refused.
+	for i, want := range []bool{true, false} {
+		if got := buf.TryAccept(&damq.Packet{OutPort: 1, Slots: 1}); got != want {
+			t.Fatalf("TryAccept %d = %v, want %v", i, got, want)
+		}
+	}
 	snap := o.Snapshot()
 	for name, want := range map[string]int64{
-		"buffer.accepted": 2,
-		"buffer.rejected": 1,
+		"buffer.accepted": 3,
+		"buffer.rejected": 2,
 		"buffer.popped":   1,
 	} {
 		if got, _ := snap.Counter(name); got != want {

@@ -246,6 +246,10 @@ type Buffer interface {
 	// says: an upstream switch asks it about a packet it has not yet
 	// routed for this stage, without copying the packet.
 	CanAcceptTo(out int, p *packet.Packet) bool
+	// TryAccept stores p if CanAccept(p) holds and p is well formed
+	// (OutPort in range, at least one slot), deciding admission once,
+	// and reports whether it did.
+	TryAccept(p *packet.Packet) bool
 	// Accept stores p. It returns an error if CanAccept(p) is false or
 	// p.OutPort is out of range.
 	Accept(p *packet.Packet) error

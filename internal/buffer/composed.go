@@ -14,7 +14,7 @@ import (
 // view, which is all it takes for admission at one port to see — and
 // compete for — the whole switch's storage.
 type group struct {
-	pool    *SlotPool
+	pool    SlotPool // by value: admission reads it without another hop
 	policy  AdmissionPolicy
 	classes int
 	// classSlots tracks pool-wide slots per priority class; nil unless the
@@ -25,40 +25,24 @@ type group struct {
 	expectOut func(q int) int
 }
 
-func newGroup(pool *SlotPool, pol AdmissionPolicy, classes int, expectOut func(q int) int) *group {
-	g := &group{pool: pool, policy: pol, classes: classes, expectOut: expectOut}
+// newGroup builds a group over a fresh pool of numQueues queues and
+// capacity slots, with the enqueue-stamp clock when clocked.
+func newGroup(numQueues, capacity int, clocked bool, pol AdmissionPolicy, classes int, expectOut func(q int) int) *group {
+	g := &group{policy: pol, classes: classes, expectOut: expectOut}
+	g.pool.init(numQueues, capacity)
+	if clocked {
+		g.pool.EnableClock()
+	}
 	if classes > 1 {
 		g.classSlots = make([]int, classes)
 	}
 	return g
 }
 
-// group implements PoolState for its policy. All O(1), allocation-free.
-
+// queueSlots is the slots held by queue q, the register most policies
+// threshold on.
 // damqvet:hotpath
-func (g *group) Capacity() int { return g.pool.capacity }
-
-// damqvet:hotpath
-func (g *group) FreeSlots() int { return g.pool.freeCount }
-
-// damqvet:hotpath
-func (g *group) QueueSlots(q int) int { return g.pool.qSlots[q] }
-
-// damqvet:hotpath
-func (g *group) QueueLen(q int) int { return g.pool.qPkts[q] }
-
-// damqvet:hotpath
-func (g *group) ClassSlots(c int) int {
-	if g.classSlots == nil {
-		return 0
-	}
-	return g.classSlots[c]
-}
-
-// damqvet:hotpath
-func (g *group) HeadAge(q int) int64 { return g.pool.HeadAge(q) }
-
-var _ PoolState = (*group)(nil)
+func (g *group) queueSlots(q int) int { return int(g.pool.queues[q].slots) }
 
 // composed is a Buffer assembled from a storage group and the view
 // parameters that map this input port onto it. Every kind in the package
@@ -122,26 +106,42 @@ func (c *composed) CanAcceptTo(out int, p *packet.Packet) bool {
 	return c.g.policy.Admit(p, c.g, c.queueOf(out))
 }
 
-func (c *composed) Accept(p *packet.Packet) error {
-	if p.OutPort < 0 || p.OutPort >= c.numOutputs {
-		return fmt.Errorf("%s: %w: %d", c.prefix, ErrBadPort, p.OutPort)
+// TryAccept stores p if it is well formed (OutPort in range, at least
+// one slot) and the admission policy takes it, evaluating the policy
+// once; it reports whether p was stored.
+// damqvet:hotpath
+func (c *composed) TryAccept(p *packet.Packet) bool {
+	out := p.OutPort
+	if out < 0 || out >= c.numOutputs || p.Slots <= 0 || p.Slots > c.g.pool.freeCount {
+		return false
 	}
-	if p.Slots <= 0 {
-		return fmt.Errorf("%s: packet %v has non-positive slot count", c.prefix, p)
+	q := c.queueOf(out)
+	if !c.g.policy.Admit(p, c.g, q) {
+		return false
 	}
-	if !c.CanAccept(p) {
-		if c.perQueue > 0 {
-			return fmt.Errorf("%s: %w (queue %d free %d, need %d)",
-				c.prefix, ErrFull, p.OutPort, c.QueueFree(p.OutPort), p.Slots)
-		}
-		return fmt.Errorf("%s: %w (free %d, need %d)", c.prefix, ErrFull, c.g.pool.freeCount, p.Slots)
-	}
-	c.g.pool.Push(c.queueOf(p.OutPort), p)
+	c.g.pool.Push(q, p)
 	if c.g.classSlots != nil {
 		c.g.classSlots[classOf(p, c.g.classes)] += p.Slots
 	}
 	c.pkts++
-	return nil
+	return true
+}
+
+// Accept is TryAccept with the refusal explained.
+func (c *composed) Accept(p *packet.Packet) error {
+	if c.TryAccept(p) {
+		return nil
+	}
+	switch {
+	case p.OutPort < 0 || p.OutPort >= c.numOutputs:
+		return fmt.Errorf("%s: %w: %d", c.prefix, ErrBadPort, p.OutPort)
+	case p.Slots <= 0:
+		return fmt.Errorf("%s: packet %v has non-positive slot count", c.prefix, p)
+	case c.perQueue > 0:
+		return fmt.Errorf("%s: %w (queue %d free %d, need %d)",
+			c.prefix, ErrFull, p.OutPort, c.QueueFree(p.OutPort), p.Slots)
+	}
+	return fmt.Errorf("%s: %w (free %d, need %d)", c.prefix, ErrFull, c.g.pool.freeCount, p.Slots)
 }
 
 // damqvet:hotpath
@@ -151,9 +151,9 @@ func (c *composed) QueueLen(out int) int {
 		if head == nil || head.OutPort != out {
 			return 0
 		}
-		return c.g.pool.qPkts[c.qBase]
+		return c.g.pool.QueueLen(c.qBase)
 	}
-	return c.g.pool.qPkts[c.qBase+out]
+	return c.g.pool.QueueLen(c.qBase + out)
 }
 
 // HeadMask is a shift and a mask of the pool's occupancy word for the
@@ -222,7 +222,7 @@ func (c *composed) Reset() {
 // must communicate upstream (four times the flow-control information of
 // a FIFO, as Section 2 notes). Meaningful only for partitioned kinds.
 func (c *composed) QueueFree(out int) int {
-	return c.perQueue - c.g.pool.qSlots[c.qBase+out]
+	return c.perQueue - c.g.queueSlots(c.qBase+out)
 }
 
 // Tick advances the group's clock by one cycle. Exactly one view per
@@ -261,11 +261,7 @@ func NewDAMQ(numOutputs, capacity int) *DAMQBuffer {
 }
 
 func newPoolBuffer(kind Kind, numOutputs, capacity, maxReads int, pol AdmissionPolicy, classes int, clocked, portCheck bool, prefix string) *PoolBuffer {
-	pool := NewSlotPool(numOutputs, capacity)
-	if clocked {
-		pool.EnableClock()
-	}
-	g := newGroup(pool, pol, classes, func(q int) int { return q })
+	g := newGroup(numOutputs, capacity, clocked, pol, classes, func(q int) int { return q })
 	return &PoolBuffer{composed{
 		g:          g,
 		kind:       kind,
@@ -307,10 +303,10 @@ func (b *PoolBuffer) Dump() string { return b.g.pool.Dump() }
 
 // QueueSlots reports the slots currently held by the queue for out, used
 // by tests and the occupancy ablation.
-func (b *PoolBuffer) QueueSlots(out int) int { return b.g.pool.qSlots[b.qBase+out] }
+func (b *PoolBuffer) QueueSlots(out int) int { return b.g.queueSlots(b.qBase + out) }
 
 // Pool exposes the backing slot pool for tests and structural tooling.
-func (b *PoolBuffer) Pool() *SlotPool { return b.g.pool }
+func (b *PoolBuffer) Pool() *SlotPool { return &b.g.pool }
 
 var _ Buffer = (*PoolBuffer)(nil)
 
@@ -319,7 +315,7 @@ var _ Buffer = (*PoolBuffer)(nil)
 // the crossbar — head-of-line blocking falls out of the single-queue
 // layout, not the policy.
 func newFIFO(numOutputs, capacity int) *composed {
-	g := newGroup(NewSlotPool(1, capacity), completeSharing{}, 0, nil)
+	g := newGroup(1, capacity, false, completeSharing{}, 0, nil)
 	return &composed{
 		g:          g,
 		kind:       FIFO,
@@ -342,7 +338,7 @@ func newStatic(kind Kind, numOutputs, capacity int) *composed {
 	if kind == SAFC {
 		reads = numOutputs
 	}
-	g := newGroup(NewSlotPool(numOutputs, capacity), completePartition{perQueue: per},
+	g := newGroup(numOutputs, capacity, false, completePartition{perQueue: per},
 		0, func(q int) int { return q })
 	return &composed{
 		g:          g,
@@ -436,12 +432,8 @@ func NewSharedGroup(cfg Config, inputs int) ([]Buffer, error) {
 	}
 	poolCap := inputs * cfg.Capacity
 	pol, classes, clocked := buildPolicy(cfg, poolCap)
-	pool := NewSlotPool(inputs*cfg.NumOutputs, poolCap)
-	if clocked {
-		pool.EnableClock()
-	}
 	n := cfg.NumOutputs
-	g := newGroup(pool, pol, classes, func(q int) int { return q % n })
+	g := newGroup(inputs*n, poolCap, clocked, pol, classes, func(q int) int { return q % n })
 	views := make([]Buffer, inputs)
 	for i := range views {
 		views[i] = &PoolBuffer{composed{

@@ -54,6 +54,21 @@ func (b *Instrumented) Accept(p *packet.Packet) error {
 	return err
 }
 
+// TryAccept stores p if it is admitted and counts the outcome.
+func (b *Instrumented) TryAccept(p *packet.Packet) bool {
+	ok := b.Buffer.TryAccept(p)
+	if b.m != nil {
+		if !ok {
+			if b.m.Rejected != nil {
+				b.m.Rejected.Inc()
+			}
+		} else if b.m.Accepted != nil {
+			b.m.Accepted.Inc()
+		}
+	}
+	return ok
+}
+
 // Pop removes and returns Head(out), counting successful drains.
 func (b *Instrumented) Pop(out int) *packet.Packet {
 	p := b.Buffer.Pop(out)

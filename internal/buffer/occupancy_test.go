@@ -19,7 +19,7 @@ func checkOccupancy(t *testing.T, sp *SlotPool, what string) {
 		n := min(64, sp.numQueues-base)
 		var want uint64
 		for i := 0; i < n; i++ {
-			if sp.qPkts[base+i] > 0 {
+			if sp.QueueLen(base+i) > 0 {
 				want |= 1 << uint(i)
 			}
 		}

@@ -2,40 +2,20 @@ package buffer
 
 import "damq/internal/packet"
 
-// PoolState is the read-only occupancy view an AdmissionPolicy decides
-// over. It is implemented by the shared group behind each composed
-// buffer; every method is O(1) and allocation-free so admission stays on
-// the switch's hot path.
-type PoolState interface {
-	// Capacity is the pool's total slot count.
-	Capacity() int
-	// FreeSlots is the number of unoccupied, in-service slots.
-	FreeSlots() int
-	// QueueSlots is the slots held by queue q.
-	QueueSlots(q int) int
-	// QueueLen is the packets held by queue q.
-	QueueLen(q int) int
-	// ClassSlots is the slots held pool-wide by priority class c, 0 when
-	// the pool does not track classes.
-	ClassSlots(c int) int
-	// HeadAge is how long queue q's head packet has waited, in pool
-	// ticks; 0 for an empty queue or a clockless pool.
-	HeadAge(q int) int64
-}
-
 // AdmissionPolicy is the decision half of the admission/storage split:
-// given a routed packet, the pool's occupancy state, and the queue the
-// packet would join, Admit says whether the packet may enter. Policies
+// given a routed packet, the storage group it would enter, and the queue
+// the packet would join, Admit says whether the packet may enter. It
+// reads the group's registers directly and changes nothing. Policies
 // are pure — no mutation, no allocation, no randomness — so the same
 // (packet, state) always decides the same way regardless of worker
 // count; that is what keeps the sharded simulator byte-identical.
 type AdmissionPolicy interface {
 	// Name is the policy's short name for error messages and reports.
 	Name() string
-	// Admit reports whether p may join queue q. The composed buffer has
-	// already rejected out-of-range ports (where the kind demands it)
+	// Admit reports whether p may join queue q of g. The composed buffer
+	// has already rejected out-of-range ports (where the kind demands it)
 	// and packets larger than the pool's free space.
-	Admit(p *packet.Packet, st PoolState, q int) bool
+	Admit(p *packet.Packet, g *group, q int) bool
 }
 
 // completeSharing is 1988's FIFO/DAMQ/DAFC admission: any packet that
@@ -46,8 +26,8 @@ type completeSharing struct{}
 func (completeSharing) Name() string { return "complete-sharing" }
 
 // damqvet:hotpath
-func (completeSharing) Admit(p *packet.Packet, st PoolState, q int) bool {
-	return p.Slots <= st.FreeSlots()
+func (completeSharing) Admit(p *packet.Packet, g *group, q int) bool {
+	return p.Slots <= g.pool.freeCount
 }
 
 // completePartition is 1988's SAMQ/SAFC admission: each queue owns a
@@ -61,8 +41,8 @@ type completePartition struct {
 func (completePartition) Name() string { return "complete-partitioning" }
 
 // damqvet:hotpath
-func (cp completePartition) Admit(p *packet.Packet, st PoolState, q int) bool {
-	return st.QueueSlots(q)+p.Slots <= cp.perQueue
+func (cp completePartition) Admit(p *packet.Packet, g *group, q int) bool {
+	return g.queueSlots(q)+p.Slots <= cp.perQueue
 }
 
 // dynThreshold is the classic Dynamic Threshold policy (Choudhury &
@@ -78,8 +58,8 @@ type dynThreshold struct {
 func (dynThreshold) Name() string { return "dynamic-threshold" }
 
 // damqvet:hotpath
-func (dt dynThreshold) Admit(p *packet.Packet, st PoolState, q int) bool {
-	return float64(st.QueueSlots(q)+p.Slots) <= dt.alpha*float64(st.FreeSlots())
+func (dt dynThreshold) Admit(p *packet.Packet, g *group, q int) bool {
+	return float64(g.queueSlots(q)+p.Slots) <= dt.alpha*float64(g.pool.freeCount)
 }
 
 // fbSharing is FB-style flexible sharing across priority classes
@@ -97,14 +77,17 @@ type fbSharing struct {
 func (fbSharing) Name() string { return "fb-flexible" }
 
 // damqvet:hotpath
-func (fb fbSharing) Admit(p *packet.Packet, st PoolState, q int) bool {
+func (fb fbSharing) Admit(p *packet.Packet, g *group, q int) bool {
 	c := classOf(p, fb.classes)
-	after := st.ClassSlots(c) + p.Slots
+	after := p.Slots
+	if g.classSlots != nil {
+		after += g.classSlots[c]
+	}
 	if after <= fb.reserve {
 		return true
 	}
 	alphaC := fb.alpha / float64(int64(1)<<uint(c))
-	return float64(after) <= float64(fb.reserve)+alphaC*float64(st.FreeSlots())
+	return float64(after) <= float64(fb.reserve)+alphaC*float64(g.pool.freeCount)
 }
 
 // bshare is BShare-style queueing-delay-driven sharing (Agarwal et
@@ -122,15 +105,15 @@ type bshare struct {
 func (bshare) Name() string { return "bshare-delay" }
 
 // damqvet:hotpath
-func (bs bshare) Admit(p *packet.Packet, st PoolState, q int) bool {
-	limit := bs.alpha * float64(st.FreeSlots())
-	if age := st.HeadAge(q); age > bs.target {
+func (bs bshare) Admit(p *packet.Packet, g *group, q int) bool {
+	limit := bs.alpha * float64(g.pool.freeCount)
+	if age := g.pool.HeadAge(q); age > bs.target {
 		limit *= float64(bs.target) / float64(age)
 		if limit < float64(bs.reserve) {
 			limit = float64(bs.reserve)
 		}
 	}
-	return float64(st.QueueSlots(q)+p.Slots) <= limit
+	return float64(g.queueSlots(q)+p.Slots) <= limit
 }
 
 // classOf derives a packet's priority class from its ID with a

@@ -17,10 +17,11 @@ import (
 // loaded pool with CheckInvariants. The pool's occupancy word is derived
 // too: LoadState rebuilds it from the per-queue packet counters.
 
-// SlotPoolState is the serializable state of one SlotPool. Owner maps
-// each slot to an index into Packets (-1 for none), so the caller
-// serializes packet bodies once each, in slot order of their first
-// slots.
+// SlotPoolState is the serializable state of one SlotPool, one slice
+// per register kind (checkpoint format v1), whatever the pool's own
+// register layout. Owner maps each slot to an index into Packets (-1 for
+// none), so the caller serializes packet bodies once each, in slot order
+// of their first slots.
 type SlotPoolState struct {
 	Next      []int32
 	Owner     []int32
@@ -44,18 +45,22 @@ type SlotPoolState struct {
 // it does not mutate them).
 func (sp *SlotPool) SaveState() *SlotPoolState {
 	st := &SlotPoolState{
-		Next:      append([]int32(nil), sp.next...),
+		Next:      make([]int32, sp.capacity),
 		Owner:     make([]int32, sp.capacity),
 		FreeHead:  sp.freeHead,
 		FreeTail:  sp.freeTail,
 		FreeCount: sp.freeCount,
-		QHead:     append([]int32(nil), sp.qHead...),
-		QTail:     append([]int32(nil), sp.qTail...),
-		QPkts:     append([]int(nil), sp.qPkts...),
-		QSlots:    append([]int(nil), sp.qSlots...),
+		QHead:     make([]int32, sp.numQueues),
+		QTail:     make([]int32, sp.numQueues),
+		QPkts:     make([]int, sp.numQueues),
+		QSlots:    make([]int, sp.numQueues),
 		QuarCount: sp.quarCount,
 		HasClock:  sp.stamp != nil,
 		Now:       sp.now,
+	}
+	for q, qr := range sp.queues {
+		st.QHead[q], st.QTail[q] = qr.head, qr.tail
+		st.QPkts[q], st.QSlots[q] = int(qr.pkts), int(qr.slots)
 	}
 	if sp.quar != nil {
 		st.Quar = append([]uint8(nil), sp.quar...)
@@ -63,13 +68,14 @@ func (sp *SlotPool) SaveState() *SlotPoolState {
 	if sp.stamp != nil {
 		st.Stamp = append([]int64(nil), sp.stamp...)
 	}
-	for s, p := range sp.owner {
-		if p == nil {
+	for s, r := range sp.slots {
+		st.Next[s] = r.next
+		if r.owner == nil {
 			st.Owner[s] = -1
 			continue
 		}
 		st.Owner[s] = int32(len(st.Packets))
-		st.Packets = append(st.Packets, p)
+		st.Packets = append(st.Packets, r.owner)
 	}
 	return st
 }
@@ -108,7 +114,9 @@ func (sp *SlotPool) LoadState(st *SlotPoolState) error {
 		if !inRange(st.QHead[q]) || !inRange(st.QTail[q]) {
 			return fmt.Errorf("slotpool: queue %d head/tail registers out of range", q)
 		}
-		if st.QPkts[q] < 0 || st.QSlots[q] < 0 || st.QSlots[q] > sp.capacity {
+		// The bounds also make the narrowing to the int32 queue
+		// registers below exact.
+		if st.QPkts[q] < 0 || st.QPkts[q] > sp.capacity || st.QSlots[q] < 0 || st.QSlots[q] > sp.capacity {
 			return fmt.Errorf("slotpool: queue %d has impossible counters (%d pkts, %d slots)",
 				q, st.QPkts[q], st.QSlots[q])
 		}
@@ -155,14 +163,13 @@ func (sp *SlotPool) LoadState(st *SlotPoolState) error {
 		return fmt.Errorf("slotpool: free list walk (%d slots, tail %d) disagrees with registers (%d, %d)",
 			steps, last, st.FreeCount, st.FreeTail)
 	}
-	copy(sp.next, st.Next)
-	copy(sp.qHead, st.QHead)
-	copy(sp.qTail, st.QTail)
-	copy(sp.qPkts, st.QPkts)
-	copy(sp.qSlots, st.QSlots)
 	clear(sp.occ)
-	for q, n := range sp.qPkts {
-		if n > 0 {
+	for q := range sp.queues {
+		sp.queues[q] = queueReg{
+			head: st.QHead[q], tail: st.QTail[q],
+			pkts: int32(st.QPkts[q]), slots: int32(st.QSlots[q]),
+		}
+		if st.QPkts[q] > 0 {
 			sp.occ[q>>6] |= 1 << uint(q&63)
 		}
 	}
@@ -176,13 +183,12 @@ func (sp *SlotPool) LoadState(st *SlotPoolState) error {
 	}
 	sp.now = st.Now
 	pkts := 0
-	for s := range sp.owner {
-		if st.Owner[s] == -1 {
-			sp.owner[s] = nil
-			continue
+	for s := range sp.slots {
+		sp.slots[s] = slotReg{next: st.Next[s]}
+		if st.Owner[s] != -1 {
+			sp.slots[s].owner = st.Packets[st.Owner[s]]
+			pkts++
 		}
-		sp.owner[s] = st.Packets[st.Owner[s]]
-		pkts++
 	}
 	sp.pkts = pkts
 	return nil
@@ -204,7 +210,7 @@ func PoolOf(b Buffer) (*SlotPool, bool) {
 	if !ok {
 		return nil, false
 	}
-	return v.poolView().g.pool, true
+	return &v.poolView().g.pool, true
 }
 
 // ResyncAfterRestore recomputes the derived counters of the views over
@@ -243,7 +249,7 @@ func ResyncAfterRestore(bufs []Buffer) error {
 		}
 		n := 0
 		for q := c.qBase; q < c.qBase+qn; q++ {
-			n += g.pool.qPkts[q]
+			n += g.pool.QueueLen(q)
 		}
 		c.pkts = n
 	}
@@ -251,9 +257,9 @@ func ResyncAfterRestore(bufs []Buffer) error {
 		for i := range g.classSlots {
 			g.classSlots[i] = 0
 		}
-		for q := 0; q < g.pool.numQueues; q++ {
-			for s := g.pool.qHead[q]; s != nilSlot; s = g.pool.next[s] {
-				if p := g.pool.owner[s]; p != nil {
+		for _, qr := range g.pool.queues {
+			for s := qr.head; s != nilSlot; s = g.pool.slots[s].next {
+				if p := g.pool.slots[s].owner; p != nil {
 					g.classSlots[classOf(p, g.classes)] += p.Slots
 				}
 			}

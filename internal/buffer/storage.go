@@ -35,23 +35,19 @@ type SlotPool struct {
 	numQueues int
 	capacity  int
 
-	next  []int32          // per-slot pointer register
-	owner []*packet.Packet // packet whose *first* slot this is; nil for continuation slots
+	slots  []slotReg  // per-slot registers
+	queues []queueReg // per-queue registers
 
 	freeHead  int32
 	freeTail  int32
 	freeCount int
 	pkts      int // total packets across queues, kept for O(1) Packets
 
-	qHead  []int32 // per-queue head register
-	qTail  []int32 // per-queue tail register
-	qPkts  []int   // packets per queue
-	qSlots []int   // slots per queue
-
 	// occ is the occupancy word: bit q is set iff queue q holds a packet,
 	// the software form of the per-queue valid bits an arbiter reads in
-	// one go. It is derived from qPkts, never serialized, and for pools
-	// of at most 64 queues it aliases occ1, so it costs no allocation.
+	// one go. It is derived from the queue packet counts, never
+	// serialized, and for pools of at most 64 queues it aliases occ1, so
+	// it costs no allocation.
 	occ  []uint64
 	occ1 [1]uint64
 
@@ -69,6 +65,23 @@ type SlotPool struct {
 	now   int64
 }
 
+// slotReg is one slot's registers: the packet whose *first* slot this
+// is (nil for continuation and free slots) and the pointer register
+// naming the next slot of its list.
+type slotReg struct {
+	owner *packet.Packet
+	next  int32
+}
+
+// queueReg is one queue's registers: head and tail slot, and the packet
+// and slot counts. Push and Pop touch one of these and the slots they
+// move, so a queue operation reads a few cache lines, as the chip reads
+// one register row.
+type queueReg struct {
+	head, tail  int32
+	pkts, slots int32
+}
+
 const nilSlot = int32(-1)
 
 // Quarantine slot states (entries of quar).
@@ -81,22 +94,25 @@ const (
 // NewSlotPool constructs a pool with the given queue count and total
 // slot capacity.
 func NewSlotPool(numQueues, capacity int) *SlotPool {
-	sp := &SlotPool{
-		numQueues: numQueues,
-		capacity:  capacity,
-		next:      make([]int32, capacity),
-		owner:     make([]*packet.Packet, capacity),
-		qHead:     make([]int32, numQueues),
-		qTail:     make([]int32, numQueues),
-		qPkts:     make([]int, numQueues),
-		qSlots:    make([]int, numQueues),
-	}
+	sp := &SlotPool{}
+	sp.init(numQueues, capacity)
+	return sp
+}
+
+// init sets up a zero pool in place. A storage group holds its pool by
+// value, one pointer hop closer to the admission path, and initializes
+// it here; the pool must not be copied afterwards, since the occupancy
+// word of a small pool points into the pool itself.
+func (sp *SlotPool) init(numQueues, capacity int) {
+	sp.numQueues = numQueues
+	sp.capacity = capacity
+	sp.slots = make([]slotReg, capacity)
+	sp.queues = make([]queueReg, numQueues)
 	sp.occ = sp.occ1[:]
 	if numQueues > 64 {
 		sp.occ = make([]uint64, (numQueues+63)/64)
 	}
 	sp.Reset()
-	return sp
 }
 
 func (sp *SlotPool) NumQueues() int { return sp.numQueues }
@@ -113,26 +129,33 @@ func (sp *SlotPool) Packets() int { return sp.pkts }
 
 // QueueLen is the number of packets in queue q.
 // damqvet:hotpath
-func (sp *SlotPool) QueueLen(q int) int { return sp.qPkts[q] }
+func (sp *SlotPool) QueueLen(q int) int { return int(sp.queues[q].pkts) }
 
 // QueueSlots is the number of slots held by queue q.
 // damqvet:hotpath
-func (sp *SlotPool) QueueSlots(q int) int { return sp.qSlots[q] }
+func (sp *SlotPool) QueueSlots(q int) int { return int(sp.queues[q].slots) }
+
+// UsedSlots is the number of slots holding packet data: capacity less
+// the free and the quarantined slots, which CheckInvariants proves equals
+// the sum of the per-queue slot counts. O(1).
+// damqvet:hotpath
+func (sp *SlotPool) UsedSlots() int { return sp.capacity - sp.freeCount - sp.quarCount }
 
 // Head returns the first packet of queue q without removing it, or nil.
 // damqvet:hotpath
 func (sp *SlotPool) Head(q int) *packet.Packet {
-	if sp.qPkts[q] == 0 {
+	qr := &sp.queues[q]
+	if qr.pkts == 0 {
 		return nil
 	}
-	return sp.owner[sp.qHead[q]]
+	return sp.slots[qr.head].owner
 }
 
 // takeFree removes and returns the head of the free list.
 // damqvet:hotpath
 func (sp *SlotPool) takeFree() int32 {
 	s := sp.freeHead
-	sp.freeHead = sp.next[s]
+	sp.freeHead = sp.slots[s].next
 	if sp.freeHead == nilSlot {
 		sp.freeTail = nilSlot
 	}
@@ -145,19 +168,16 @@ func (sp *SlotPool) takeFree() int32 {
 // diverted out of service instead of rejoining the pool.
 // damqvet:hotpath
 func (sp *SlotPool) giveFree(s int32) {
+	sp.slots[s] = slotReg{next: nilSlot}
 	if sp.quar != nil && sp.quar[s] == slotQuarPending {
 		sp.quar[s] = slotQuarantined
 		sp.quarCount++
-		sp.next[s] = nilSlot
-		sp.owner[s] = nil
 		return
 	}
-	sp.next[s] = nilSlot
-	sp.owner[s] = nil
 	if sp.freeTail == nilSlot {
 		sp.freeHead = s
 	} else {
-		sp.next[sp.freeTail] = s
+		sp.slots[sp.freeTail].next = s
 	}
 	sp.freeTail = s
 	sp.freeCount++
@@ -171,28 +191,29 @@ func (sp *SlotPool) giveFree(s int32) {
 // damqvet:hotpath
 func (sp *SlotPool) Push(q int, p *packet.Packet) {
 	first := sp.takeFree()
-	sp.owner[first] = p
+	sp.slots[first].owner = p
 	if sp.stamp != nil {
 		sp.stamp[first] = sp.now
 	}
 	last := first
 	for i := 1; i < p.Slots; i++ {
 		s := sp.takeFree()
-		sp.next[last] = s
+		sp.slots[last].next = s
 		last = s
 	}
-	sp.next[last] = nilSlot
+	sp.slots[last].next = nilSlot
 
 	// Append to the queue: point the old tail's slot at the packet's first
 	// slot, then move the tail register.
-	if sp.qTail[q] == nilSlot {
-		sp.qHead[q] = first
+	qr := &sp.queues[q]
+	if qr.tail == nilSlot {
+		qr.head = first
 	} else {
-		sp.next[sp.qTail[q]] = first
+		sp.slots[qr.tail].next = first
 	}
-	sp.qTail[q] = last
-	sp.qPkts[q]++
-	sp.qSlots[q] += p.Slots
+	qr.tail = last
+	qr.pkts++
+	qr.slots += int32(p.Slots)
 	sp.pkts++
 	sp.occ[q>>6] |= 1 << uint(q&63)
 }
@@ -200,27 +221,27 @@ func (sp *SlotPool) Push(q int, p *packet.Packet) {
 // Pop removes and returns the head packet of queue q, or nil.
 // damqvet:hotpath
 func (sp *SlotPool) Pop(q int) *packet.Packet {
-	if sp.qPkts[q] == 0 {
+	qr := &sp.queues[q]
+	if qr.pkts == 0 {
 		return nil
 	}
-	first := sp.qHead[q]
-	p := sp.owner[first]
+	s := qr.head
+	p := sp.slots[s].owner
 	// Walk the packet's slots, advancing the head register and returning
 	// each slot to the free list as the hardware does after transmission.
-	s := first
 	for i := 0; i < p.Slots; i++ {
-		n := sp.next[s]
+		n := sp.slots[s].next
 		sp.giveFree(s)
 		s = n
 	}
-	sp.qHead[q] = s
+	qr.head = s
 	if s == nilSlot {
-		sp.qTail[q] = nilSlot
+		qr.tail = nilSlot
 	}
-	sp.qPkts[q]--
-	sp.qSlots[q] -= p.Slots
+	qr.pkts--
+	qr.slots -= int32(p.Slots)
 	sp.pkts--
-	if sp.qPkts[q] == 0 {
+	if qr.pkts == 0 {
 		sp.occ[q>>6] &^= 1 << uint(q&63)
 	}
 	return p
@@ -264,10 +285,11 @@ func (sp *SlotPool) Now() int64 { return sp.now }
 // reads 0.
 // damqvet:hotpath
 func (sp *SlotPool) HeadAge(q int) int64 {
-	if sp.qPkts[q] == 0 || sp.stamp == nil {
+	qr := &sp.queues[q]
+	if qr.pkts == 0 || sp.stamp == nil {
 		return 0
 	}
-	return sp.now - sp.stamp[sp.qHead[q]]
+	return sp.now - sp.stamp[qr.head]
 }
 
 // QuarantineSlot takes slot s out of service, modelling a stuck-at/dead
@@ -293,18 +315,18 @@ func (sp *SlotPool) QuarantineSlot(s int) bool {
 	}
 	// Unlink from the free list if present; otherwise the slot is in use.
 	prev := nilSlot
-	for cur := sp.freeHead; cur != nilSlot; cur = sp.next[cur] {
+	for cur := sp.freeHead; cur != nilSlot; cur = sp.slots[cur].next {
 		if cur == int32(s) {
 			if prev == nilSlot {
-				sp.freeHead = sp.next[cur]
+				sp.freeHead = sp.slots[cur].next
 			} else {
-				sp.next[prev] = sp.next[cur]
+				sp.slots[prev].next = sp.slots[cur].next
 			}
 			if sp.freeTail == cur {
 				sp.freeTail = prev
 			}
 			sp.freeCount--
-			sp.next[cur] = nilSlot
+			sp.slots[cur].next = nilSlot
 			sp.quar[s] = slotQuarantined
 			sp.quarCount++
 			return true
@@ -348,23 +370,19 @@ func (sp *SlotPool) Reset() {
 	sp.quar = nil
 	sp.quarCount = 0
 	sp.now = 0
-	for i := range sp.next {
-		sp.next[i] = int32(i + 1)
-		sp.owner[i] = nil
+	for i := range sp.slots {
+		sp.slots[i] = slotReg{next: int32(i + 1)}
 	}
 	if sp.capacity > 0 {
-		sp.next[sp.capacity-1] = nilSlot
+		sp.slots[sp.capacity-1].next = nilSlot
 		sp.freeHead = 0
 		sp.freeTail = int32(sp.capacity - 1)
 	} else {
 		sp.freeHead, sp.freeTail = nilSlot, nilSlot
 	}
 	sp.freeCount = sp.capacity
-	for i := 0; i < sp.numQueues; i++ {
-		sp.qHead[i] = nilSlot
-		sp.qTail[i] = nilSlot
-		sp.qPkts[i] = 0
-		sp.qSlots[i] = 0
+	for i := range sp.queues {
+		sp.queues[i] = queueReg{head: nilSlot, tail: nilSlot}
 	}
 	clear(sp.occ)
 	sp.pkts = 0
@@ -382,7 +400,7 @@ func (sp *SlotPool) CheckInvariants(expect func(q int) int) error {
 	seen := make([]bool, sp.capacity)
 
 	walk := func(head int32, name string) (slots int, err error) {
-		for s := head; s != nilSlot; s = sp.next[s] {
+		for s := head; s != nilSlot; s = sp.slots[s].next {
 			if s < 0 || int(s) >= sp.capacity {
 				return 0, fmt.Errorf("slotpool: %s list points at invalid slot %d", name, s)
 			}
@@ -405,7 +423,7 @@ func (sp *SlotPool) CheckInvariants(expect func(q int) int) error {
 	if freeSlots != sp.freeCount {
 		return fmt.Errorf("slotpool: free list has %d slots, counter says %d", freeSlots, sp.freeCount)
 	}
-	for s := sp.freeHead; s != nilSlot; s = sp.next[s] {
+	for s := sp.freeHead; s != nilSlot; s = sp.slots[s].next {
 		if sp.quar != nil && sp.quar[s] == slotQuarantined {
 			return fmt.Errorf("slotpool: quarantined slot %d is on the free list", s)
 		}
@@ -414,10 +432,11 @@ func (sp *SlotPool) CheckInvariants(expect func(q int) int) error {
 	total := freeSlots
 	for q := 0; q < sp.numQueues; q++ {
 		// Walk the queue packet by packet to validate per-packet chaining.
-		s := sp.qHead[q]
+		qr := sp.queues[q]
+		s := qr.head
 		pkts, slots := 0, 0
 		for s != nilSlot {
-			p := sp.owner[s]
+			p := sp.slots[s].owner
 			if p == nil {
 				return fmt.Errorf("slotpool: queue %d head slot %d has no owner packet", q, s)
 			}
@@ -431,7 +450,7 @@ func (sp *SlotPool) CheckInvariants(expect func(q int) int) error {
 				if last == nilSlot {
 					return fmt.Errorf("slotpool: packet %v truncated in queue %d", p, q)
 				}
-				if i > 0 && sp.owner[last] != nil {
+				if i > 0 && sp.slots[last].owner != nil {
 					return fmt.Errorf("slotpool: continuation slot %d of %v owns a packet", last, p)
 				}
 				if seen[last] {
@@ -440,25 +459,25 @@ func (sp *SlotPool) CheckInvariants(expect func(q int) int) error {
 				seen[last] = true
 				slots++
 				if i < p.Slots-1 {
-					last = sp.next[last]
+					last = sp.slots[last].next
 				}
 			}
-			if sp.next[last] == nilSlot && sp.qTail[q] != last {
-				return fmt.Errorf("slotpool: queue %d tail register %d != actual tail %d", q, sp.qTail[q], last)
+			if sp.slots[last].next == nilSlot && qr.tail != last {
+				return fmt.Errorf("slotpool: queue %d tail register %d != actual tail %d", q, qr.tail, last)
 			}
-			s = sp.next[last]
+			s = sp.slots[last].next
 			pkts++
 			if pkts > sp.capacity {
 				return fmt.Errorf("slotpool: queue %d is cyclic", q)
 			}
 		}
-		if pkts != sp.qPkts[q] {
-			return fmt.Errorf("slotpool: queue %d has %d packets, counter says %d", q, pkts, sp.qPkts[q])
+		if pkts != int(qr.pkts) {
+			return fmt.Errorf("slotpool: queue %d has %d packets, counter says %d", q, pkts, qr.pkts)
 		}
-		if slots != sp.qSlots[q] {
-			return fmt.Errorf("slotpool: queue %d holds %d slots, counter says %d", q, slots, sp.qSlots[q])
+		if slots != int(qr.slots) {
+			return fmt.Errorf("slotpool: queue %d holds %d slots, counter says %d", q, slots, qr.slots)
 		}
-		if pkts == 0 && (sp.qHead[q] != nilSlot || sp.qTail[q] != nilSlot) {
+		if pkts == 0 && (qr.head != nilSlot || qr.tail != nilSlot) {
 			return fmt.Errorf("slotpool: empty queue %d has live head/tail registers", q)
 		}
 		if set := sp.occ[q>>6]>>uint(q&63)&1 != 0; set != (pkts > 0) {
@@ -490,8 +509,8 @@ func (sp *SlotPool) CheckInvariants(expect func(q int) int) error {
 		return fmt.Errorf("slotpool: %d slots accounted for, capacity %d", total, sp.capacity)
 	}
 	sum := 0
-	for _, c := range sp.qPkts {
-		sum += c
+	for _, qr := range sp.queues {
+		sum += int(qr.pkts)
 	}
 	if sum != sp.pkts {
 		return fmt.Errorf("slotpool: queues hold %d packets, total counter says %d", sum, sp.pkts)
@@ -507,20 +526,20 @@ func (sp *SlotPool) Dump() string {
 	var sb strings.Builder
 	for q := 0; q < sp.numQueues; q++ {
 		fmt.Fprintf(&sb, "q%d:", q)
-		s := sp.qHead[q]
-		for n := 0; n < sp.qPkts[q]; n++ {
-			p := sp.owner[s]
+		s := sp.queues[q].head
+		for n := int32(0); n < sp.queues[q].pkts; n++ {
+			p := sp.slots[s].owner
 			fmt.Fprintf(&sb, " [pkt%d:", p.ID)
 			for i := 0; i < p.Slots; i++ {
 				fmt.Fprintf(&sb, " %d", s)
-				s = sp.next[s]
+				s = sp.slots[s].next
 			}
 			sb.WriteString("]")
 		}
 		sb.WriteString("\n")
 	}
 	sb.WriteString("free:")
-	for s := sp.freeHead; s != nilSlot; s = sp.next[s] {
+	for s := sp.freeHead; s != nilSlot; s = sp.slots[s].next {
 		fmt.Fprintf(&sb, " %d", s)
 	}
 	sb.WriteString("\n")

@@ -108,12 +108,6 @@ type Sim struct {
 	sizes *rng.Source
 	alloc packet.Alloc
 
-	// probe is the reusable admission-probe scratch: CanAccept takes a
-	// routed copy of the candidate packet, and handing every probe its
-	// own heap copy (as the seed code did) allocated once per admission
-	// check.
-	probe packet.Packet
-
 	measureStart, measureEnd int64
 	res                      *Result
 	busyCycles               int64 // link cycles delivered at sinks in window
@@ -270,15 +264,14 @@ func (s *Sim) kickSource(src int) {
 	}
 	p := q.Front()
 	swIdx, port := s.top.FirstStageSwitch(src)
-	s.probe = *p
-	s.probe.OutPort = s.top.RouteDigit(p.Dest, 0)
-	if !s.bufs[0][swIdx][port].CanAccept(&s.probe) {
+	out := s.top.RouteDigit(p.Dest, 0)
+	if !s.bufs[0][swIdx][port].CanAcceptTo(out, p) {
 		return // retried when the stage-0 buffer frees slots
 	}
 	q.PopFront()
 	dur := s.duration(p)
 	s.srcBusyUntil[src] = now + dur
-	p.OutPort = s.probe.OutPort
+	p.OutPort = out
 	p.ReadyAt = now + s.cfg.RouteDelay
 	p.Injected = now
 	if err := s.bufs[0][swIdx][port].Accept(p); err != nil {
@@ -335,9 +328,7 @@ func (s *Sim) downstreamAccepts(st, sw, out int, p *packet.Packet) bool {
 		return true // sinks always accept
 	}
 	nsw, nport := s.top.NextStage(sw, out)
-	s.probe = *p
-	s.probe.OutPort = s.top.RouteDigit(p.Dest, st+1)
-	return s.bufs[st+1][nsw][nport].CanAccept(&s.probe)
+	return s.bufs[st+1][nsw][nport].CanAcceptTo(s.top.RouteDigit(p.Dest, st+1), p)
 }
 
 // startTx begins forwarding the head of (st, sw, in)'s queue for out.

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -498,6 +499,90 @@ func TestCheckpointRejectsStaleOnEmptyQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantCheckpointError(t, buf.Bytes(), "stale count on an empty queue")
+}
+
+// TestCheckpointRejectsWrappedQueueCounts: the slot pool keeps its
+// per-queue packet and slot counts in int32 registers, while the stream
+// carries them as int64. A count of 2^32 plus the true value would
+// narrow to the true value and pass every structural audit, so restore
+// must refuse any count outside [0, capacity] before narrowing. The
+// stream stays CRC-valid and well formed; only one counter is patched.
+func TestCheckpointRejectsWrappedQueueCounts(t *testing.T) {
+	cfg := Config{
+		Radix: 4, Inputs: 16, Capacity: 4, WarmupCycles: 10, MeasureCycles: 40, Seed: 3,
+		BufferKind: buffer.DAMQ, Protocol: sw.Blocking,
+		Traffic: TrafficSpec{Kind: Uniform, Load: 0.9},
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// Step until input 0 of stage-0 switch 0 — the first pool in the
+	// switch section — holds a packet.
+	b := s.stages[0][0].Buffer(0)
+	for i := 0; i < 100 && b.Empty(); i++ {
+		s.Step(false)
+	}
+	q := -1
+	for out := 0; out < cfg.Radix && q < 0; out++ {
+		if b.QueueLen(out) > 0 {
+			q = out
+		}
+	}
+	if q < 0 {
+		t.Fatal("first pool never filled")
+	}
+	var buf bytes.Buffer
+	if err := s.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	if r, err := RestoreSim(bytes.NewReader(raw)); err != nil {
+		t.Fatalf("unaltered checkpoint: %v", err)
+	} else {
+		r.Close()
+	}
+
+	// Walk the sections (tag, uint64 length, body) to the switch section.
+	const headerLen = 8 + 4 + 8
+	off := headerLen
+	for raw[off] != secSwitches {
+		off += 1 + 8 + int(binary.LittleEndian.Uint64(raw[off+1:]))
+	}
+	off += 1 + 8
+	// Stage-0 switch 0: arbiter priority and stale counts, then input 0's
+	// pool: Next, Owner, FreeHead, FreeTail, FreeCount, QHead, QTail,
+	// QPkts, QSlots. Length prefixes are uint64.
+	n, slots := cfg.Radix, cfg.Capacity
+	off += 8 + 8 + 8*n*n
+	off += 2 * (8 + 4*slots)
+	off += 4 + 4 + 8
+	off += 2 * (8 + 4*n)
+	qPkts := off + 8 + 8*q
+	qSlots := off + (8 + 8*n) + 8 + 8*q
+	for _, c := range []struct {
+		name string
+		at   int
+		want int
+	}{
+		{"packets", qPkts, b.QueueLen(q)},
+		{"slots", qSlots, b.(*buffer.PoolBuffer).QueueSlots(q)},
+	} {
+		if got := int(binary.LittleEndian.Uint64(raw[c.at:])); got != c.want {
+			t.Fatalf("%s counter of queue %d encoded as %d, want %d: layout drifted", c.name, q, got, c.want)
+		}
+		mut := append([]byte(nil), raw...)
+		binary.LittleEndian.PutUint64(mut[c.at:], uint64(c.want)+1<<32)
+		patchCRC(mut)
+		r, err := RestoreSim(bytes.NewReader(mut))
+		if r != nil {
+			r.Close()
+		}
+		if !errors.Is(err, cfgerr.ErrBadCheckpoint) {
+			t.Errorf("%s counter %d+2^32: got %v, want ErrBadCheckpoint", c.name, c.want, err)
+		}
+	}
 }
 
 // TestCheckpointRejectsTrailingGarbage: extra bytes after a section body

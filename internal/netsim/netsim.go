@@ -130,7 +130,7 @@ type Config struct {
 // calls it first; CLIs may call it directly for early flag feedback.
 func (c Config) Validate() error {
 	c = c.withDefaults()
-	if _, err := omega.New(c.Radix, c.Inputs); err != nil {
+	if err := omega.Validate(c.Radix, c.Inputs); err != nil {
 		return fmt.Errorf("netsim: %v: %w", err, cfgerr.ErrBadRadix)
 	}
 	bufCfg := buffer.Config{Kind: c.BufferKind, NumOutputs: c.Radix, Capacity: c.Capacity, Sharing: c.Sharing}

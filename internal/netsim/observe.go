@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"damq/internal/buffer"
 	"damq/internal/obs"
@@ -83,6 +84,11 @@ type netMetrics struct {
 	// policy or a shared pool (see MetricPoolSlotsUsed).
 	poolSlots     *obs.Histogram
 	policyRefused *obs.Counter
+	// pools lists the storage pools poolSlots samples, in (stage, switch)
+	// order, poolsPerSw to a switch: one per input, or the switch's one
+	// shared pool. Empty when poolSlots is nil.
+	pools      []*buffer.SlotPool
+	poolsPerSw int
 
 	// lastSample is the cycle of the last time-series record (-1 = none
 	// yet); used only when the observer's interval is enabled.
@@ -136,6 +142,18 @@ func (s *Sim) SetObserver(o *obs.Observer) {
 		}
 		m.poolSlots = r.Histogram(MetricPoolSlotsUsed, poolCap+1, 1)
 		m.policyRefused = r.Counter(MetricPolicyRefused)
+		m.poolsPerSw = s.cfg.Radix
+		if s.cfg.SharedPool {
+			m.poolsPerSw = 1
+		}
+		for st := range s.stages {
+			for _, swc := range s.stages[st] {
+				for in := 0; in < m.poolsPerSw; in++ {
+					sp, _ := buffer.PoolOf(swc.Buffer(in))
+					m.pools = append(m.pools, sp)
+				}
+			}
+		}
 	}
 
 	// Grant/conflict/blocked/refused counts aggregate across all
@@ -169,32 +187,53 @@ func (s *Sim) SetObserver(o *obs.Observer) {
 }
 
 // sampleMetrics runs at the end of every measured cycle with an observer
-// attached: per-stage occupancy gauges, the per-queue depth histogram,
-// level gauges, and — when the observer's interval is enabled — the
-// cumulative time-series record. It allocates only when the time series
-// grows (amortized append, off by default).
+// attached: per-stage occupancy gauges, the per-queue depth and pool
+// occupancy histograms, level gauges, and — when the observer's interval
+// is enabled — the cumulative time-series record. Only occupied switches
+// are visited queue by queue, and within them only the queues their
+// HeadMask rows mark; every other sample is a zero, and the zeros are
+// added in bulk (histograms are order-independent, so the snapshot is
+// the one a per-queue sweep produces). A pool's occupancy is its used-slot
+// register: quarantined slots are neither free nor used, so the
+// histogram isolates what the admission policy let in. It allocates
+// only when the time series grows (amortized append, off by default).
 func (s *Sim) sampleMetrics(backlog int64) {
 	m := s.metrics
 	inFlight := s.InFlight()
+	var zeroDepths, zeroPools int64
+	pool := 0 // m.pools index of the current switch's first pool
 	for st := range s.stages {
 		total := int64(0)
 		for _, swc := range s.stages[st] {
-			total += int64(swc.Len())
 			ports := swc.Ports()
+			pools := m.pools[pool : pool+m.poolsPerSw]
+			pool += m.poolsPerSw
+			if swc.Empty() {
+				zeroDepths += int64(ports * ports)
+				zeroPools += int64(len(pools))
+				continue
+			}
+			total += int64(swc.Len())
 			for in := 0; in < ports; in++ {
 				b := swc.Buffer(in)
-				for out := 0; out < ports; out++ {
-					m.queueDepth.Observe(int64(b.QueueLen(out)))
+				mask := b.HeadMask()
+				zeroDepths += int64(ports - bits.OnesCount64(mask))
+				for ; mask != 0; mask &= mask - 1 {
+					m.queueDepth.Observe(int64(b.QueueLen(bits.TrailingZeros64(mask))))
 				}
+			}
+			for _, sp := range pools {
+				m.poolSlots.Observe(int64(sp.UsedSlots()))
 			}
 		}
 		m.stageOcc[st].Set(total)
 	}
+	m.queueDepth.ObserveN(0, zeroDepths)
+	if m.poolSlots != nil {
+		m.poolSlots.ObserveN(0, zeroPools)
+	}
 	m.inFlight.Set(inFlight)
 	m.backlog.Set(backlog)
-	if m.poolSlots != nil {
-		s.samplePoolSlots()
-	}
 
 	iv := m.observer.Interval()
 	if iv <= 0 {
@@ -215,42 +254,6 @@ func (s *Sim) sampleMetrics(backlog int64) {
 		LatencySum:   m.latInjected.Sum(),
 		LatencyCount: m.latInjected.Total(),
 	})
-}
-
-// slotCounter is the per-queue slot accounting every pooled buffer
-// exposes; the policy occupancy sampler sums it per storage pool.
-type slotCounter interface{ QueueSlots(out int) int }
-
-// samplePoolSlots observes each storage pool's occupied slot count:
-// one sample per input buffer normally, one per switch when all its
-// inputs share a pool (summing per-view counts walks the whole group).
-// Occupied means holding packets — quarantined slots are neither free
-// nor used, so the histogram isolates what the admission policy let in.
-func (s *Sim) samplePoolSlots() {
-	m := s.metrics
-	shared := s.cfg.SharedPool
-	for st := range s.stages {
-		for _, swc := range s.stages[st] {
-			ports := swc.Ports()
-			used := 0
-			for in := 0; in < ports; in++ {
-				sc, ok := swc.Buffer(in).(slotCounter)
-				if !ok {
-					return // non-pooled kind: nothing to sample
-				}
-				for out := 0; out < ports; out++ {
-					used += sc.QueueSlots(out)
-				}
-				if !shared {
-					m.poolSlots.Observe(int64(used))
-					used = 0
-				}
-			}
-			if shared {
-				m.poolSlots.Observe(int64(used))
-			}
-		}
-	}
 }
 
 // ValidateSnapshot checks that a snapshot has the shape an observed

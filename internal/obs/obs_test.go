@@ -141,3 +141,29 @@ func TestObserverIntervalClamp(t *testing.T) {
 		t.Error("empty series must stay nil in snapshots")
 	}
 }
+
+// TestObserveNMatchesObserve: ObserveN(v, n) leaves a histogram exactly
+// as n Observe(v) calls do — buckets, overflow, total and sum — including
+// n = 0, a negative v (clamped to 0) and a v in the overflow bucket; a
+// negative n records nothing.
+func TestObserveNMatchesObserve(t *testing.T) {
+	for _, c := range []struct{ v, n int64 }{
+		{0, 0}, {0, 1}, {0, 37}, {3, 5}, {7, 2}, {-4, 6}, {8, 3}, {1000, 4}, {5, 0}, {2, -3},
+	} {
+		bulk := NewRegistry().Histogram("h", 4, 2)
+		one := NewRegistry().Histogram("h", 4, 2)
+		// A prior sample, so the comparison covers adding to live state.
+		bulk.Observe(3)
+		one.Observe(3)
+		bulk.ObserveN(c.v, c.n)
+		for i := int64(0); i < c.n; i++ {
+			one.Observe(c.v)
+		}
+		if !reflect.DeepEqual(bulk.Buckets(), one.Buckets()) || bulk.Overflow() != one.Overflow() ||
+			bulk.Total() != one.Total() || bulk.Sum() != one.Sum() {
+			t.Errorf("ObserveN(%d, %d): buckets %v overflow %d total %d sum %d; %d Observe calls: %v %d %d %d",
+				c.v, c.n, bulk.Buckets(), bulk.Overflow(), bulk.Total(), bulk.Sum(),
+				c.n, one.Buckets(), one.Overflow(), one.Total(), one.Sum())
+		}
+	}
+}

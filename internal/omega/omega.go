@@ -10,33 +10,95 @@ package omega
 
 import "fmt"
 
-// Topology describes one Omega network instance.
+// Topology describes one Omega network instance. The wiring and the
+// routing digits are tables built once by New, so the per-hop queries
+// the simulators make on every probe and every move are loads.
 type Topology struct {
 	k        int // switch radix (ports per switch)
 	stages   int // number of switch stages
 	inputs   int // network inputs = k^stages
 	switches int // switches per stage = inputs / k
+
+	// nextSw[line] and nextPort[line] are the switch and input port that
+	// line reaches through the perfect shuffle: line is a network input
+	// before stage 0, or Line(k, sw, out) leaving a stage.
+	nextSw   []int32
+	nextPort []uint8
+	// digit[stage*inputs+dest] is dest's stage-th most significant
+	// base-k digit: the output port dest takes at that stage.
+	digit []uint8
 }
 
-// New returns the topology for an inputs-wide Omega network of k×k
-// switches. inputs must be a positive power of k.
-func New(k, inputs int) (*Topology, error) {
-	if k < 2 {
-		return nil, fmt.Errorf("omega: radix must be >= 2, got %d", k)
+// MaxRadix bounds the switch radix: ports and routing digits are
+// tabulated as bytes.
+const MaxRadix = 256
+
+// shape checks that inputs is a positive power of k (with k in
+// [2, MaxRadix]) and returns the stage count and switches per stage.
+func shape(k, inputs int) (stages, switches int, err error) {
+	if k < 2 || k > MaxRadix {
+		return 0, 0, fmt.Errorf("omega: radix must be in [2, %d], got %d", MaxRadix, k)
 	}
 	if inputs < k {
-		return nil, fmt.Errorf("omega: inputs %d smaller than radix %d", inputs, k)
+		return 0, 0, fmt.Errorf("omega: inputs %d smaller than radix %d", inputs, k)
 	}
-	stages := 0
 	n := 1
 	for n < inputs {
+		switches = n
 		n *= k
 		stages++
 	}
 	if n != inputs {
-		return nil, fmt.Errorf("omega: inputs %d is not a power of radix %d", inputs, k)
+		return 0, 0, fmt.Errorf("omega: inputs %d is not a power of radix %d", inputs, k)
 	}
-	return &Topology{k: k, stages: stages, inputs: inputs, switches: inputs / k}, nil
+	return stages, switches, nil
+}
+
+// Validate reports whether New(k, inputs) would succeed, without
+// building the tables.
+func Validate(k, inputs int) error {
+	_, _, err := shape(k, inputs)
+	return err
+}
+
+// New returns the topology for an inputs-wide Omega network of k×k
+// switches. inputs must be a positive power of k, and k at most
+// MaxRadix. It builds the wiring and routing tables, without a division.
+func New(k, inputs int) (*Topology, error) {
+	stages, switches, err := shape(k, inputs)
+	if err != nil {
+		return nil, err
+	}
+	t := &Topology{
+		k: k, stages: stages, inputs: inputs, switches: switches,
+		nextSw:   make([]int32, inputs),
+		nextPort: make([]uint8, inputs),
+		digit:    make([]uint8, stages*inputs),
+	}
+	// The shuffle rotates line port*switches+sw left by one digit, to
+	// sw*k+port: its top digit becomes the input port of switch sw.
+	line := 0
+	for port := 0; port < k; port++ {
+		for sw := 0; sw < switches; sw++ {
+			t.nextSw[line] = int32(sw)
+			t.nextPort[line] = uint8(port)
+			line++
+		}
+	}
+	// Count dest upward in base k, most significant digit first.
+	d := make([]int, stages)
+	for dest := 0; dest < inputs; dest++ {
+		for s, v := range d {
+			t.digit[s*inputs+dest] = uint8(v)
+		}
+		for s := stages - 1; s >= 0; s-- {
+			if d[s]++; d[s] < k {
+				break
+			}
+			d[s] = 0
+		}
+	}
+	return t, nil
 }
 
 // MustNew is New for known-good parameters.
@@ -64,7 +126,7 @@ func (t *Topology) SwitchesPerStage() int { return t.switches }
 // applied to the N lines entering every stage. Line x maps to
 // (x*k + x/(N/k)) mod N — a left rotation of x's base-k digit string.
 func (t *Topology) Shuffle(line int) int {
-	return (line*t.k)%t.inputs + line/(t.inputs/t.k)
+	return int(t.nextSw[line])*t.k + int(t.nextPort[line])
 }
 
 // InverseShuffle is the right digit rotation undoing Shuffle: it answers
@@ -72,7 +134,7 @@ func (t *Topology) Shuffle(line int) int {
 // event-driven simulators need to wake the correct upstream sender when
 // buffer space frees.
 func (t *Topology) InverseShuffle(line int) int {
-	return line/t.k + (line%t.k)*(t.inputs/t.k)
+	return line/t.k + (line%t.k)*t.switches
 }
 
 // SwitchPort converts a line number (0..N-1) at a stage boundary into the
@@ -87,26 +149,22 @@ func Line(k, sw, port int) int { return sw*k + port }
 // network input src: the shuffle is applied before the first stage, as in
 // Lawrie's definition.
 func (t *Topology) FirstStageSwitch(src int) (sw, port int) {
-	return SwitchPort(t.k, t.Shuffle(src))
+	return int(t.nextSw[src]), int(t.nextPort[src])
 }
 
 // NextStage returns the stage s+1 switch and input port wired to output
 // port out of switch sw in stage s. The inter-stage wiring is the same
 // perfect shuffle on line numbers.
 func (t *Topology) NextStage(sw, out int) (nsw, nport int) {
-	return SwitchPort(t.k, t.Shuffle(Line(t.k, sw, out)))
+	line := sw*t.k + out
+	return int(t.nextSw[line]), int(t.nextPort[line])
 }
 
 // RouteDigit returns the output port a packet for destination dest must
 // take at stage (0-based). Omega routing is destination-digit routing:
 // stage s consumes the s-th most significant base-k digit of dest.
 func (t *Topology) RouteDigit(dest, stage int) int {
-	shift := t.stages - 1 - stage
-	d := dest
-	for i := 0; i < shift; i++ {
-		d /= t.k
-	}
-	return d % t.k
+	return int(t.digit[stage*t.inputs+dest])
 }
 
 // LastStageOutput returns the network output line reached from output

@@ -1,6 +1,7 @@
 package omega
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -145,5 +146,110 @@ func TestUniqueFirstStagePorts(t *testing.T) {
 			t.Fatalf("two sources share stage-0 port %v", key)
 		}
 		seen[key] = true
+	}
+}
+
+// ref is the closed-form shuffle and digit arithmetic the tables replace;
+// TestTablesMatchArithmetic holds New's tables to it.
+type ref struct{ k, stages, inputs int }
+
+func (r ref) shuffle(line int) int { return (line*r.k)%r.inputs + line/(r.inputs/r.k) }
+
+func (r ref) inverseShuffle(line int) int { return line/r.k + (line%r.k)*(r.inputs/r.k) }
+
+func (r ref) firstStageSwitch(src int) (int, int) { return SwitchPort(r.k, r.shuffle(src)) }
+
+func (r ref) nextStage(sw, out int) (int, int) { return SwitchPort(r.k, r.shuffle(Line(r.k, sw, out))) }
+
+func (r ref) routeDigit(dest, stage int) int {
+	d := dest
+	for i := 0; i < r.stages-1-stage; i++ {
+		d /= r.k
+	}
+	return d % r.k
+}
+
+func (r ref) path(src, dest int) []Hop {
+	var hops []Hop
+	sw, port := r.firstStageSwitch(src)
+	for s := 0; s < r.stages; s++ {
+		out := r.routeDigit(dest, s)
+		hops = append(hops, Hop{Stage: s, Switch: sw, InPort: port, OutPort: out})
+		if s < r.stages-1 {
+			sw, port = r.nextStage(sw, out)
+		}
+	}
+	return hops
+}
+
+// TestTablesMatchArithmetic checks every table-driven query against the
+// closed form, for every valid network of up to 4096 inputs over radices
+// {2, 3, 4, 5, 8, 16}. Path is compared on every (src, dest) pair up to
+// 256 inputs and on a stride of pairs beyond.
+func TestTablesMatchArithmetic(t *testing.T) {
+	for _, k := range []int{2, 3, 4, 5, 8, 16} {
+		for n, stages := k, 1; n <= 4096; n, stages = n*k, stages+1 {
+			top, err := New(k, n)
+			if err != nil {
+				t.Fatalf("New(%d, %d): %v", k, n, err)
+			}
+			r := ref{k: k, stages: stages, inputs: n}
+			if top.Stages() != stages || top.SwitchesPerStage() != n/k {
+				t.Fatalf("k=%d n=%d: %d stages of %d switches", k, n, top.Stages(), top.SwitchesPerStage())
+			}
+			for x := 0; x < n; x++ {
+				if got, want := top.Shuffle(x), r.shuffle(x); got != want {
+					t.Fatalf("k=%d n=%d: Shuffle(%d) = %d, want %d", k, n, x, got, want)
+				}
+				if got, want := top.InverseShuffle(x), r.inverseShuffle(x); got != want {
+					t.Fatalf("k=%d n=%d: InverseShuffle(%d) = %d, want %d", k, n, x, got, want)
+				}
+				sw, port := top.FirstStageSwitch(x)
+				if wsw, wport := r.firstStageSwitch(x); sw != wsw || port != wport {
+					t.Fatalf("k=%d n=%d: FirstStageSwitch(%d) = (%d,%d), want (%d,%d)", k, n, x, sw, port, wsw, wport)
+				}
+				sw, port = top.NextStage(x/k, x%k)
+				if wsw, wport := r.nextStage(x/k, x%k); sw != wsw || port != wport {
+					t.Fatalf("k=%d n=%d: NextStage(%d,%d) = (%d,%d), want (%d,%d)", k, n, x/k, x%k, sw, port, wsw, wport)
+				}
+				for s := 0; s < stages; s++ {
+					if got, want := top.RouteDigit(x, s), r.routeDigit(x, s); got != want {
+						t.Fatalf("k=%d n=%d: RouteDigit(%d,%d) = %d, want %d", k, n, x, s, got, want)
+					}
+				}
+			}
+			step := 1
+			if n > 256 {
+				step = 37
+			}
+			for src := 0; src < n; src += step {
+				for dest := 0; dest < n; dest += step {
+					if got, want := top.Path(src, dest), r.path(src, dest); !reflect.DeepEqual(got, want) {
+						t.Fatalf("k=%d n=%d: Path(%d,%d) = %v, want %v", k, n, src, dest, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRadixCap: ports and digits are tabulated as bytes, so New refuses
+// a radix above MaxRadix and accepts MaxRadix itself.
+func TestRadixCap(t *testing.T) {
+	if _, err := New(MaxRadix+1, MaxRadix+1); err == nil {
+		t.Errorf("accepted radix %d", MaxRadix+1)
+	}
+	if err := Validate(MaxRadix+1, MaxRadix+1); err == nil {
+		t.Errorf("Validate accepted radix %d", MaxRadix+1)
+	}
+	top, err := New(MaxRadix, MaxRadix*MaxRadix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := top.RouteDigit(MaxRadix*MaxRadix-1, 1); got != MaxRadix-1 {
+		t.Errorf("top digit of the last destination = %d, want %d", got, MaxRadix-1)
+	}
+	if sw, port := top.NextStage(top.SwitchesPerStage()-1, MaxRadix-1); sw != top.SwitchesPerStage()-1 || port != MaxRadix-1 {
+		t.Errorf("last line wires to (%d,%d)", sw, port)
 	}
 }

@@ -130,8 +130,8 @@ type Switch struct {
 	m *Metrics
 	// tickers are the buffers whose admission policy reads packet ages;
 	// nil unless the kind uses a clock (BSHARE), so clockless switches
-	// pay one nil check in Tick. Shared-pool views coordinate internally
-	// so the group clock advances exactly once per Tick sweep.
+	// pay one nil check in Tick. Under a shared pool it holds only the
+	// first view, the one that advances the group clock.
 	tickers []buffer.Ticker
 }
 
@@ -191,6 +191,10 @@ func New(cfg Config) (*Switch, error) {
 			if tk, ok := b.(buffer.Ticker); ok {
 				s.tickers = append(s.tickers, tk)
 			}
+		}
+		if cfg.SharedPool {
+			// One group, one clock: the first view ticks it.
+			s.tickers = s.tickers[:1]
 		}
 	}
 	return s, nil
@@ -301,18 +305,13 @@ func (s *Switch) PopGrant(g arbiter.Grant) *packet.Packet {
 // caller is expected to retain the packet upstream.
 // damqvet:hotpath
 func (s *Switch) Offer(in int, p *packet.Packet) (accepted bool) {
-	b := s.bufs[in]
-	if !b.CanAccept(p) {
+	if !s.bufs[in].TryAccept(p) {
 		if s.m != nil {
 			if s.m.OfferRefused != nil {
 				s.m.OfferRefused.Inc()
 			}
 		}
 		return false
-	}
-	if err := b.Accept(p); err != nil {
-		// CanAccept said yes; Accept can only fail on a routing bug.
-		panic(fmt.Sprintf("sw: accept after CanAccept: %v", err))
 	}
 	s.count++
 	return true

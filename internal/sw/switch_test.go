@@ -174,3 +174,21 @@ func TestMCZeroLoad(t *testing.T) {
 		t.Fatal("discard fraction of empty run should be 0")
 	}
 }
+
+// TestTickAdvancesClockOnce: Tick advances every age-reading pool by
+// exactly one tick, per input port or, under a shared pool, the one
+// group clock all inputs read.
+func TestTickAdvancesClockOnce(t *testing.T) {
+	for _, shared := range []bool{false, true} {
+		s := MustNew(Config{Ports: 4, BufferKind: buffer.BSHARE, Capacity: 4, SharedPool: shared})
+		for i := 0; i < 3; i++ {
+			s.Tick()
+		}
+		for in := 0; in < s.Ports(); in++ {
+			sp, _ := buffer.PoolOf(s.Buffer(in))
+			if now := sp.Now(); now != 3 {
+				t.Errorf("shared=%v input %d: pool clock %d after 3 ticks, want 3", shared, in, now)
+			}
+		}
+	}
+}

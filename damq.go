@@ -6,8 +6,9 @@
 // The package is a facade over the repository's internals, exposing:
 //
 //   - the four buffer organizations the paper compares (FIFO, SAMQ, SAFC,
-//     DAMQ) behind one Buffer interface, with the DAMQ implemented as a
-//     slot pool threaded by hardware-style linked lists;
+//     DAMQ) as one Buffer type — the paper's slot pool threaded by
+//     hardware-style linked lists, under each organization's admission
+//     policy and read ports;
 //   - exact Markov analysis of 2×2 discarding switches (the paper's
 //     Table 2);
 //   - a synchronized 64×64 Omega-network simulator with blocking and
@@ -138,27 +139,28 @@ func ParseBufferSpec(s string) (BufferKind, BufferSharing, error) {
 	return cfg.Kind, cfg.Sharing, nil
 }
 
-// Buffer is the behavioural interface shared by all four organizations
-// under the long-clock model. See internal/buffer for semantics.
+// Buffer is the long-clock buffer every organization is built as: one
+// slot pool under the kind's admission policy and read ports. See
+// internal/buffer for semantics. It exposes CheckInvariants for
+// structural verification.
 type Buffer = buffer.Buffer
 
 // DAMQBuffer is the paper's contribution: per-output FIFO queues threaded
 // through a shared slot pool with explicit linked lists and a free list.
-// It exposes CheckInvariants for structural verification.
-type DAMQBuffer = buffer.DAMQBuffer
+// It is a Buffer of kind DAMQ.
+type DAMQBuffer = buffer.Buffer
 
 // Packet is the unit of traffic in the long-clock simulators.
 type Packet = packet.Packet
 
 // NewBuffer constructs a buffer of the given kind for an n-output switch
-// with the given total slot capacity. With WithObserver the buffer is
-// wrapped so accept/reject/pop outcomes count under the buffer.*
-// metrics; without options the raw buffer is returned unchanged. With
+// with the given total slot capacity. With WithObserver the buffer's
+// accept/reject/pop outcomes count under the buffer.* metrics. With
 // WithFaults, slots of a dynamically allocated organization whose
 // deterministic failure draw lands on cycle 0 ("stuck at power-on") are
 // quarantined out of the free list before the buffer is returned —
 // capacity shrinks, structure stays sound.
-func NewBuffer(kind BufferKind, outputs, capacity int, opts ...Option) (Buffer, error) {
+func NewBuffer(kind BufferKind, outputs, capacity int, opts ...Option) (*Buffer, error) {
 	b, err := buffer.New(buffer.Config{Kind: kind, NumOutputs: outputs, Capacity: capacity})
 	if err != nil {
 		return nil, err
@@ -169,27 +171,27 @@ func NewBuffer(kind BufferKind, outputs, capacity int, opts ...Option) (Buffer, 
 			return nil, err
 		}
 	}
-	if op.observer == nil {
-		return b, nil
+	if op.observer != nil {
+		r := op.observer.Registry()
+		b.SetMetrics(&buffer.Metrics{
+			Accepted: r.Counter(buffer.MetricAccepted),
+			Rejected: r.Counter(buffer.MetricRejected),
+			Popped:   r.Counter(buffer.MetricPopped),
+		})
 	}
-	r := op.observer.Registry()
-	return buffer.Instrument(b, &buffer.Metrics{
-		Accepted: r.Counter(buffer.MetricAccepted),
-		Rejected: r.Counter(buffer.MetricRejected),
-		Popped:   r.Counter(buffer.MetricPopped),
-	}), nil
+	return b, nil
 }
 
 // quarantineStuckAtBirth applies a fault config to a standalone buffer:
 // slots whose deterministic failure cycle is 0 are taken out of service
-// immediately. Organizations without a slot pool have nothing to
-// quarantine and are returned unchanged.
-func quarantineStuckAtBirth(b Buffer, fc FaultConfig) error {
+// immediately. Only dynamically pooled organizations
+// (buffer.KindSharesPool) take slot faults; the others are returned
+// unchanged.
+func quarantineStuckAtBirth(b *Buffer, fc FaultConfig) error {
 	if err := fc.Validate(); err != nil {
 		return err
 	}
-	q, ok := b.(interface{ QuarantineSlot(int) bool })
-	if !ok || fc.SlotStuckRate <= 0 {
+	if !buffer.KindSharesPool(b.Kind()) || fc.SlotStuckRate <= 0 {
 		return nil
 	}
 	inj, err := fault.NewInjector(fc)
@@ -199,13 +201,15 @@ func quarantineStuckAtBirth(b Buffer, fc FaultConfig) error {
 	site := fault.BufferSite(0, 0, 0)
 	for sl := 0; sl < b.Capacity(); sl++ {
 		if inj.SlotFailCycle(site, sl) == 0 {
-			q.QuarantineSlot(sl)
+			b.QuarantineSlot(sl)
 		}
 	}
 	return nil
 }
 
-// NewDAMQBuffer constructs the concrete DAMQ type directly.
+// NewDAMQBuffer constructs a DAMQ buffer directly. It panics, with an
+// error wrapping ErrBadPorts or ErrBadCapacity, on an invalid geometry;
+// use NewBuffer to get the error back instead.
 func NewDAMQBuffer(outputs, capacity int) *DAMQBuffer {
 	return buffer.NewDAMQ(outputs, capacity)
 }

@@ -331,3 +331,30 @@ func TestBufferKindStrings(t *testing.T) {
 		t.Fatal("policy names wrong")
 	}
 }
+
+// TestNewDAMQBufferValidates: the direct DAMQ constructor runs the same
+// validation as NewBuffer and panics with its typed error on a bad
+// geometry, instead of building a buffer whose arbiter row cannot see
+// every queue (65 outputs) or dying inside make (negative outputs).
+func TestNewDAMQBufferValidates(t *testing.T) {
+	for _, c := range []struct {
+		outputs, capacity int
+		want              error
+	}{
+		{65, 8, damq.ErrBadPorts},
+		{0, 4, damq.ErrBadPorts},
+		{-1, 4, damq.ErrBadPorts},
+		{4, 0, damq.ErrBadCapacity},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if err, ok := r.(error); !ok || !errors.Is(err, c.want) {
+					t.Errorf("NewDAMQBuffer(%d, %d) panicked with %v, want an error wrapping %v",
+						c.outputs, c.capacity, r, c.want)
+				}
+			}()
+			damq.NewDAMQBuffer(c.outputs, c.capacity)
+		}()
+	}
+}

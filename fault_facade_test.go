@@ -97,7 +97,7 @@ func TestWithFaultsBufferStuckAtBirth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, ok := buf.(interface {
+	q, ok := any(buf).(interface {
 		Quarantined() int
 		CheckInvariants() error
 	})
@@ -110,10 +110,15 @@ func TestWithFaultsBufferStuckAtBirth(t *testing.T) {
 	if err := q.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// Organizations without a slot pool ignore slot faults.
-	if _, err := damq.NewBuffer(damq.FIFO, 4, 64,
-		damq.WithFaults(damq.FaultConfig{SlotStuckRate: 0.5})); err != nil {
+	// Slot faults degrade only dynamically pooled kinds: the kind, not
+	// the Go type, decides, so a FIFO loses no slot.
+	fifo, err := damq.NewBuffer(damq.FIFO, 4, 64,
+		damq.WithFaults(damq.FaultConfig{SlotStuckRate: 0.5}))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if n := fifo.Quarantined(); n != 0 {
+		t.Fatalf("FIFO quarantined %d slots at birth, want 0", n)
 	}
 	if _, err := damq.NewBuffer(damq.DAMQ, 4, 64,
 		damq.WithFaults(damq.FaultConfig{SlotStuckRate: 2})); !errors.Is(err, damq.ErrBadFaultRate) {

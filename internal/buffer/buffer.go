@@ -32,7 +32,7 @@
 //   - BSHARE: queueing-delay-driven sharing (Agarwal et al.) — a queue
 //     whose head packet overstays the delay target loses share.
 //
-// All kinds expose the same Buffer interface so the switch and network
+// Every kind is the same concrete Buffer type, so the switch and network
 // simulators are parameterized only by buffer kind. Storage is counted in
 // slots; fixed-length experiments use one slot per packet, the
 // variable-length extension uses several. NewSharedGroup builds the
@@ -49,7 +49,6 @@ import (
 
 	"damq/internal/cfgerr"
 	"damq/internal/names"
-	"damq/internal/packet"
 )
 
 // Kind identifies a buffer organization: a (policy, storage-layout,
@@ -206,79 +205,6 @@ func ParseSpec(s string) (Config, error) {
 	return cfg, nil
 }
 
-// Buffer is the long-clock behavioural contract shared by all
-// organizations. A Buffer belongs to one input port of a switch; packets
-// stored in it have already been routed (Packet.OutPort names the local
-// output port the packet wants).
-//
-// Head/Pop semantics encode each design's read restrictions: Head(out)
-// is the packet the buffer could deliver to output out this cycle, or nil.
-// For multi-queue buffers that is the head of the per-output queue; for a
-// FIFO it is the single head packet, and only for that packet's own
-// destination — head-of-line blocking falls out of this definition.
-// MaxReadsPerCycle is 1 for single-read-port designs (FIFO, SAMQ, DAMQ,
-// and the modern policies) and NumOutputs for SAFC/DAFC; the crossbar
-// arbiter enforces it.
-type Buffer interface {
-	// Kind reports the buffer organization.
-	Kind() Kind
-	// NumOutputs is the number of output ports packets may be routed to.
-	NumOutputs() int
-	// Capacity is this port's nominal storage in slots. Under a shared
-	// pool it is the port's share of the group, not the group total.
-	Capacity() int
-	// Free is the number of slots available to a new packet addressed to
-	// any output for dynamic designs; for static designs it is the total
-	// free count across queues (use CanAccept for admission decisions).
-	// Under a shared pool it reports the group-wide free count.
-	Free() int
-	// Len is the number of packets currently buffered at this port.
-	// Implementations keep it O(1): network simulators read it on hot
-	// paths.
-	Len() int
-	// Empty reports whether the buffer holds no packets, in O(1). It is
-	// the emptiness hook the active-set network simulator polls.
-	Empty() bool
-	// CanAccept reports whether p (with OutPort set) fits right now — the
-	// admission policy's decision.
-	CanAccept(p *packet.Packet) bool
-	// CanAcceptTo is CanAccept for p routed to out, whatever p.OutPort
-	// says: an upstream switch asks it about a packet it has not yet
-	// routed for this stage, without copying the packet.
-	CanAcceptTo(out int, p *packet.Packet) bool
-	// TryAccept stores p if CanAccept(p) holds and p is well formed
-	// (OutPort in range, at least one slot), deciding admission once,
-	// and reports whether it did.
-	TryAccept(p *packet.Packet) bool
-	// Accept stores p. It returns an error if CanAccept(p) is false or
-	// p.OutPort is out of range.
-	Accept(p *packet.Packet) error
-	// QueueLen is the length, in packets, of the queue that would serve
-	// output out. For a FIFO it is the whole queue length if the head
-	// packet wants out, else 0.
-	QueueLen(out int) int
-	// Head returns the packet deliverable to out this cycle, or nil.
-	Head(out int) *packet.Packet
-	// HeadMask has bit out set iff Head(out) is not nil, in O(1). It is
-	// this input's row of the crossbar arbiter's request matrix.
-	HeadMask() uint64
-	// Pop removes and returns Head(out); nil if there is none.
-	Pop(out int) *packet.Packet
-	// MaxReadsPerCycle is how many packets may leave per long cycle.
-	MaxReadsPerCycle() int
-	// Reset discards all contents — for shared-pool views, the whole
-	// group's contents (reset every view; sw.Switch.Reset does).
-	Reset()
-}
-
-// Ticker is implemented by buffers whose admission policy reads packet
-// ages (KindUsesClock). The owning switch calls Tick once per buffer per
-// long cycle; shared-pool views coordinate so the group clock still
-// advances exactly once per cycle.
-type Ticker interface {
-	Tick()
-}
-
 // ErrFull is wrapped by Accept when the packet does not fit.
 var ErrFull = errors.New("buffer full")
 
@@ -413,27 +339,15 @@ func (cfg Config) Validate() error {
 // its reserved quotas across classes. FIFO, DAMQ, DT, and BSHARE accept
 // any positive capacity. For one group spanning a whole switch, use
 // NewSharedGroup.
-func New(cfg Config) (Buffer, error) {
+func New(cfg Config) (*Buffer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	switch cfg.Kind {
-	case FIFO:
-		return newFIFO(cfg.NumOutputs, cfg.Capacity), nil
-	case SAMQ, SAFC:
-		return newStatic(cfg.Kind, cfg.NumOutputs, cfg.Capacity), nil
-	case DAMQ, DAFC, DT, FB, BSHARE:
-		pol, classes, clocked := buildPolicy(cfg, cfg.Capacity)
-		return newPoolBuffer(cfg.Kind, cfg.NumOutputs, cfg.Capacity,
-			kindReads(cfg.Kind, cfg.NumOutputs), pol, classes, clocked,
-			KindModern(cfg.Kind), kindPrefix(cfg.Kind)), nil
-	default:
-		return nil, fmt.Errorf("buffer: unknown kind %v: %w", cfg.Kind, cfgerr.ErrBadKind)
-	}
+	return newView(cfg, newGroup(cfg, 1), 0), nil
 }
 
 // MustNew is New for tests and examples with known-good configs.
-func MustNew(cfg Config) Buffer {
+func MustNew(cfg Config) *Buffer {
 	b, err := New(cfg)
 	if err != nil {
 		panic(err)

@@ -78,9 +78,9 @@ func TestMustNewPanics(t *testing.T) {
 }
 
 // all four kinds at 4 outputs, 8 slots.
-func allBuffers(t *testing.T) map[Kind]Buffer {
+func allBuffers(t *testing.T) map[Kind]*Buffer {
 	t.Helper()
-	out := map[Kind]Buffer{}
+	out := map[Kind]*Buffer{}
 	for _, k := range Kinds() {
 		out[k] = MustNew(Config{Kind: k, NumOutputs: 4, Capacity: 8})
 	}
@@ -321,7 +321,7 @@ func TestSAMQVariableLength(t *testing.T) {
 }
 
 func TestStaticQueueFree(t *testing.T) {
-	b := newStatic(SAMQ, 4, 8)
+	b := MustNew(Config{Kind: SAMQ, NumOutputs: 4, Capacity: 8})
 	if b.QueueFree(0) != 2 {
 		t.Fatalf("QueueFree = %d", b.QueueFree(0))
 	}
@@ -330,5 +330,24 @@ func TestStaticQueueFree(t *testing.T) {
 	}
 	if b.QueueFree(0) != 1 || b.QueueFree(1) != 2 {
 		t.Fatal("QueueFree accounting wrong")
+	}
+}
+
+// TestStaticKindsAudited: the static 1988 kinds are the same Buffer type
+// as the pooled ones, so their structural self-check is live too — a
+// drifted queue counter fails it.
+func TestStaticKindsAudited(t *testing.T) {
+	for _, k := range []Kind{FIFO, SAMQ, SAFC} {
+		b := MustNew(Config{Kind: k, NumOutputs: 4, Capacity: 8})
+		if err := b.Accept(mk(1, 2, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.CheckInvariants(); err != nil {
+			t.Fatalf("%v: healthy buffer fails the audit: %v", k, err)
+		}
+		b.g.pool.queues[b.queueOf(2)].pkts++
+		if err := b.CheckInvariants(); err == nil {
+			t.Errorf("%v: CheckInvariants passed a drifted queue counter", k)
+		}
 	}
 }

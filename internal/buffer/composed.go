@@ -20,17 +20,27 @@ type group struct {
 	// classSlots tracks pool-wide slots per priority class; nil unless the
 	// policy is class-aware (FB), so everyone else skips the bookkeeping.
 	classSlots []int
-	// expectOut maps a pool queue index to the OutPort its packets must
-	// carry; CheckInvariants uses it, nil skips the routing check.
-	expectOut func(q int) int
+	// outputs is the per-view output count that maps a pool queue to the
+	// OutPort its packets must carry (queue mod outputs); 0 for a FIFO's
+	// single queue, which skips the routing check.
+	outputs int
 }
 
-// newGroup builds a group over a fresh pool of numQueues queues and
-// capacity slots, with the enqueue-stamp clock when clocked.
-func newGroup(numQueues, capacity int, clocked bool, pol AdmissionPolicy, classes int, expectOut func(q int) int) *group {
-	g := &group{policy: pol, classes: classes, expectOut: expectOut}
-	g.pool.init(numQueues, capacity)
-	if clocked {
+// newGroup builds the storage group behind inputs ports of cfg: a fresh
+// pool of inputs*cfg.Capacity slots with one queue for a FIFO and one
+// per (input, output) pair otherwise, the kind's admission policy, and
+// the enqueue-stamp clock when the policy reads packet ages.
+func newGroup(cfg Config, inputs int) *group {
+	poolCap := inputs * cfg.Capacity
+	pol, classes := buildPolicy(cfg, poolCap)
+	g := &group{policy: pol, classes: classes}
+	numQueues := 1
+	if cfg.Kind != FIFO {
+		g.outputs = cfg.NumOutputs
+		numQueues = inputs * cfg.NumOutputs
+	}
+	g.pool.init(numQueues, poolCap)
+	if KindUsesClock(cfg.Kind) {
 		g.pool.EnableClock()
 	}
 	if classes > 1 {
@@ -39,17 +49,41 @@ func newGroup(numQueues, capacity int, clocked bool, pol AdmissionPolicy, classe
 	return g
 }
 
+// checkInvariants audits the group's pool, including the routing check
+// that every packet sits on the queue its OutPort maps to.
+func (g *group) checkInvariants() error {
+	var expect func(q int) int
+	if n := g.outputs; n > 0 {
+		expect = func(q int) int { return q % n }
+	}
+	return g.pool.CheckInvariants(expect)
+}
+
 // queueSlots is the slots held by queue q, the register most policies
 // threshold on.
 // damqvet:hotpath
 func (g *group) queueSlots(q int) int { return int(g.pool.queues[q].slots) }
 
-// composed is a Buffer assembled from a storage group and the view
-// parameters that map this input port onto it. Every kind in the package
-// is a composed buffer; they differ only in policy, queue layout
-// (single/per-output), read bandwidth, and which group they share.
-type composed struct {
-	g          *group
+// Buffer is one input port's view of a storage group: the long-clock
+// behavioural contract shared by every organization. Packets stored in it
+// have already been routed (Packet.OutPort names the local output port the
+// packet wants). Every kind is a Buffer; kinds differ only in admission
+// policy, queue layout (single/per-output), read bandwidth, and which
+// group they share — all derived from the Kind by newView.
+//
+// Head/Pop semantics encode each design's read restrictions: Head(out) is
+// the packet the buffer could deliver to output out this cycle, or nil.
+// For multi-queue buffers that is the head of the per-output queue; for a
+// FIFO it is the single head packet, and only for that packet's own
+// destination — head-of-line blocking falls out of this definition.
+// MaxReadsPerCycle is 1 for single-read-port designs (FIFO, SAMQ, DAMQ,
+// and the modern policies) and NumOutputs for SAFC/DAFC; the crossbar
+// arbiter enforces it.
+type Buffer struct {
+	g *group
+	// m holds the optional accept/reject/pop counters (SetMetrics); nil
+	// keeps every probe behind a never-taken branch.
+	m          *Metrics
 	kind       Kind
 	numOutputs int
 	nominalCap int // Capacity() this view reports: its own port's share
@@ -58,149 +92,225 @@ type composed struct {
 	maxReads   int
 	perQueue   int // static per-queue budget; >0 only for partitioned kinds
 	single     bool
-	portCheck  bool // CanAccept rejects out-of-range ports (static kinds do)
-	prefix     string
-	pkts       int // packets in this view's queues, for O(1) Len
+	portCheck  bool // CanAccept rejects out-of-range ports
+	pkts       int  // packets in this view's queues, for O(1) Len
 }
 
-func (c *composed) Kind() Kind            { return c.kind }
-func (c *composed) NumOutputs() int       { return c.numOutputs }
-func (c *composed) Capacity() int         { return c.nominalCap }
-func (c *composed) MaxReadsPerCycle() int { return c.maxReads }
+// newView maps input port in onto group g, deriving every per-view
+// parameter from cfg.Kind: FIFO is one queue, the other kinds one queue
+// per output; SAFC and DAFC read every queue each cycle; SAMQ and SAFC
+// carry a static per-queue budget; the partitioned and modern kinds
+// reject out-of-range ports at CanAccept.
+func newView(cfg Config, g *group, in int) *Buffer {
+	k, n := cfg.Kind, cfg.NumOutputs
+	b := &Buffer{
+		g:          g,
+		kind:       k,
+		numOutputs: n,
+		nominalCap: cfg.Capacity,
+		qBase:      in * n,
+		slotBase:   in * cfg.Capacity,
+		maxReads:   1,
+		single:     k == FIFO,
+		portCheck:  k == SAMQ || k == SAFC || KindModern(k),
+	}
+	if k == SAMQ || k == SAFC {
+		b.perQueue = cfg.Capacity / n
+	}
+	if k == SAFC || k == DAFC {
+		b.maxReads = n
+	}
+	return b
+}
 
-// Free reports the slots available in the backing pool. For a shared
-// group this is the switch-wide free count, which may exceed this view's
-// nominal Capacity — admission is the policy's call, not a per-view cap.
-// damqvet:hotpath
-func (c *composed) Free() int { return c.g.pool.freeCount }
+// Kind reports the buffer organization.
+func (b *Buffer) Kind() Kind { return b.kind }
 
-// damqvet:hotpath
-func (c *composed) Len() int { return c.pkts }
+// NumOutputs is the number of output ports packets may be routed to.
+func (b *Buffer) NumOutputs() int { return b.numOutputs }
 
+// Capacity is this port's nominal storage in slots. Under a shared pool
+// it is the port's share of the group, not the group total.
+func (b *Buffer) Capacity() int { return b.nominalCap }
+
+// MaxReadsPerCycle is how many packets may leave per long cycle.
+func (b *Buffer) MaxReadsPerCycle() int { return b.maxReads }
+
+// Free reports the slots available in the backing pool: for every kind
+// the total free count (use CanAccept for admission decisions). For a
+// shared group this is the switch-wide free count, which may exceed this
+// view's nominal Capacity — admission is the policy's call, not a
+// per-view cap.
 // damqvet:hotpath
-func (c *composed) Empty() bool { return c.pkts == 0 }
+func (b *Buffer) Free() int { return b.g.pool.freeCount }
+
+// Len is the number of packets currently buffered at this port, in O(1):
+// network simulators read it on hot paths.
+// damqvet:hotpath
+func (b *Buffer) Len() int { return b.pkts }
+
+// Empty reports whether the buffer holds no packets, in O(1). It is the
+// emptiness hook the active-set network simulator polls.
+// damqvet:hotpath
+func (b *Buffer) Empty() bool { return b.pkts == 0 }
 
 // queueOf maps a local output port to its pool queue.
 // damqvet:hotpath
-func (c *composed) queueOf(out int) int {
-	if c.single {
-		return c.qBase
+func (b *Buffer) queueOf(out int) int {
+	if b.single {
+		return b.qBase
 	}
-	return c.qBase + out
+	return b.qBase + out
 }
 
+// CanAccept reports whether p (with OutPort set) fits right now — the
+// admission policy's decision.
 // damqvet:hotpath
-func (c *composed) CanAccept(p *packet.Packet) bool { return c.CanAcceptTo(p.OutPort, p) }
+func (b *Buffer) CanAccept(p *packet.Packet) bool { return b.CanAcceptTo(p.OutPort, p) }
 
-// CanAcceptTo asks the admission policy whether p, routed to out, fits
-// right now. The pool fit check runs first so policies may assume
-// p.Slots <= FreeSlots.
+// CanAcceptTo is CanAccept for p routed to out, whatever p.OutPort says:
+// an upstream switch asks it about a packet it has not yet routed for
+// this stage, without copying the packet. The pool fit check runs first
+// so policies may assume p.Slots <= FreeSlots.
 // damqvet:hotpath
-func (c *composed) CanAcceptTo(out int, p *packet.Packet) bool {
-	if c.portCheck && (out < 0 || out >= c.numOutputs) {
+func (b *Buffer) CanAcceptTo(out int, p *packet.Packet) bool {
+	if b.portCheck && (out < 0 || out >= b.numOutputs) {
 		return false
 	}
-	if p.Slots > c.g.pool.freeCount {
+	if p.Slots > b.g.pool.freeCount {
 		return false
 	}
-	return c.g.policy.Admit(p, c.g, c.queueOf(out))
+	return b.g.policy.Admit(p, b.g, b.queueOf(out))
 }
 
 // TryAccept stores p if it is well formed (OutPort in range, at least
 // one slot) and the admission policy takes it, evaluating the policy
-// once; it reports whether p was stored.
+// once; it reports whether p was stored. With metrics attached it counts
+// the outcome.
 // damqvet:hotpath
-func (c *composed) TryAccept(p *packet.Packet) bool {
+func (b *Buffer) TryAccept(p *packet.Packet) bool {
 	out := p.OutPort
-	if out < 0 || out >= c.numOutputs || p.Slots <= 0 || p.Slots > c.g.pool.freeCount {
-		return false
+	if out < 0 || out >= b.numOutputs || p.Slots <= 0 || p.Slots > b.g.pool.freeCount {
+		return b.refuse()
 	}
-	q := c.queueOf(out)
-	if !c.g.policy.Admit(p, c.g, q) {
-		return false
+	q := b.queueOf(out)
+	if !b.g.policy.Admit(p, b.g, q) {
+		return b.refuse()
 	}
-	c.g.pool.Push(q, p)
-	if c.g.classSlots != nil {
-		c.g.classSlots[classOf(p, c.g.classes)] += p.Slots
+	b.g.pool.Push(q, p)
+	if b.g.classSlots != nil {
+		b.g.classSlots[classOf(p, b.g.classes)] += p.Slots
 	}
-	c.pkts++
+	b.pkts++
+	if b.m != nil {
+		if b.m.Accepted != nil {
+			b.m.Accepted.Inc()
+		}
+	}
 	return true
 }
 
-// Accept is TryAccept with the refusal explained.
-func (c *composed) Accept(p *packet.Packet) error {
-	if c.TryAccept(p) {
-		return nil
+// refuse counts a refused TryAccept and reports false.
+// damqvet:hotpath
+func (b *Buffer) refuse() bool {
+	if b.m != nil {
+		if b.m.Rejected != nil {
+			b.m.Rejected.Inc()
+		}
 	}
-	switch {
-	case p.OutPort < 0 || p.OutPort >= c.numOutputs:
-		return fmt.Errorf("%s: %w: %d", c.prefix, ErrBadPort, p.OutPort)
-	case p.Slots <= 0:
-		return fmt.Errorf("%s: packet %v has non-positive slot count", c.prefix, p)
-	case c.perQueue > 0:
-		return fmt.Errorf("%s: %w (queue %d free %d, need %d)",
-			c.prefix, ErrFull, p.OutPort, c.QueueFree(p.OutPort), p.Slots)
-	}
-	return fmt.Errorf("%s: %w (free %d, need %d)", c.prefix, ErrFull, c.g.pool.freeCount, p.Slots)
+	return false
 }
 
+// Accept stores p. It is TryAccept with the refusal explained: the error
+// wraps ErrBadPort when p.OutPort is out of range and ErrFull when p
+// does not fit.
+func (b *Buffer) Accept(p *packet.Packet) error {
+	if b.TryAccept(p) {
+		return nil
+	}
+	prefix := kindPrefix(b.kind)
+	switch {
+	case p.OutPort < 0 || p.OutPort >= b.numOutputs:
+		return fmt.Errorf("%s: %w: %d", prefix, ErrBadPort, p.OutPort)
+	case p.Slots <= 0:
+		return fmt.Errorf("%s: packet %v has non-positive slot count", prefix, p)
+	case b.perQueue > 0:
+		return fmt.Errorf("%s: %w (queue %d free %d, need %d)",
+			prefix, ErrFull, p.OutPort, b.QueueFree(p.OutPort), p.Slots)
+	}
+	return fmt.Errorf("%s: %w (free %d, need %d)", prefix, ErrFull, b.g.pool.freeCount, p.Slots)
+}
+
+// QueueLen is the length, in packets, of the queue that would serve
+// output out. For a FIFO it is the whole queue length if the head packet
+// wants out, else 0.
 // damqvet:hotpath
-func (c *composed) QueueLen(out int) int {
-	if c.single {
-		head := c.g.pool.Head(c.qBase)
+func (b *Buffer) QueueLen(out int) int {
+	if b.single {
+		head := b.g.pool.Head(b.qBase)
 		if head == nil || head.OutPort != out {
 			return 0
 		}
-		return c.g.pool.QueueLen(c.qBase)
+		return b.g.pool.QueueLen(b.qBase)
 	}
-	return c.g.pool.QueueLen(c.qBase + out)
+	return b.g.pool.QueueLen(b.qBase + out)
 }
 
-// HeadMask is a shift and a mask of the pool's occupancy word for the
-// per-output kinds, and the bit of the head packet's output for a FIFO.
+// HeadMask has bit out set iff Head(out) is not nil, in O(1): this
+// input's row of the crossbar arbiter's request matrix. It is a shift
+// and a mask of the pool's occupancy word for the per-output kinds, and
+// the bit of the head packet's output for a FIFO.
 // damqvet:hotpath
-func (c *composed) HeadMask() uint64 {
-	if c.single {
-		head := c.g.pool.Head(c.qBase)
+func (b *Buffer) HeadMask() uint64 {
+	if b.single {
+		head := b.g.pool.Head(b.qBase)
 		if head == nil {
 			return 0
 		}
 		return 1 << uint(head.OutPort)
 	}
-	return c.g.pool.occupied(c.qBase, c.numOutputs)
+	return b.g.pool.occupied(b.qBase, b.numOutputs)
 }
 
+// Head returns the packet deliverable to out this cycle, or nil.
 // damqvet:hotpath
-func (c *composed) Head(out int) *packet.Packet {
-	if c.single {
-		head := c.g.pool.Head(c.qBase)
+func (b *Buffer) Head(out int) *packet.Packet {
+	if b.single {
+		head := b.g.pool.Head(b.qBase)
 		if head == nil || head.OutPort != out {
 			return nil
 		}
 		return head
 	}
-	return c.g.pool.Head(c.qBase + out)
+	return b.g.pool.Head(b.qBase + out)
 }
 
+// Pop removes and returns Head(out); nil if there is none. With metrics
+// attached it counts the drain.
 // damqvet:hotpath
-func (c *composed) Pop(out int) *packet.Packet {
-	q := c.qBase
-	if c.single {
-		head := c.g.pool.Head(c.qBase)
+func (b *Buffer) Pop(out int) *packet.Packet {
+	q := b.qBase
+	if b.single {
+		head := b.g.pool.Head(b.qBase)
 		if head == nil || head.OutPort != out {
 			return nil
 		}
 	} else {
 		q += out
 	}
-	p := c.g.pool.Pop(q)
+	p := b.g.pool.Pop(q)
 	if p == nil {
 		return nil
 	}
-	if c.g.classSlots != nil {
-		c.g.classSlots[classOf(p, c.g.classes)] -= p.Slots
+	if b.g.classSlots != nil {
+		b.g.classSlots[classOf(p, b.g.classes)] -= p.Slots
 	}
-	c.pkts--
+	b.pkts--
+	if b.m != nil {
+		if b.m.Popped != nil {
+			b.m.Popped.Inc()
+		}
+	}
 	return p
 }
 
@@ -209,78 +319,50 @@ func (c *composed) Pop(out int) *packet.Packet {
 // expressed in slot-pool hardware. Callers resetting a shared-pool
 // switch reset every view (sw.Switch.Reset does), which also squares the
 // per-view packet counters.
-func (c *composed) Reset() {
-	c.g.pool.Reset()
-	for i := range c.g.classSlots {
-		c.g.classSlots[i] = 0
+func (b *Buffer) Reset() {
+	b.g.pool.Reset()
+	for i := range b.g.classSlots {
+		b.g.classSlots[i] = 0
 	}
-	c.pkts = 0
+	b.pkts = 0
 }
 
 // QueueFree reports the free slots in the static budget of the queue
 // serving out. It is the quantity the paper's per-queue flow control
 // must communicate upstream (four times the flow-control information of
 // a FIFO, as Section 2 notes). Meaningful only for partitioned kinds.
-func (c *composed) QueueFree(out int) int {
-	return c.perQueue - c.g.queueSlots(c.qBase+out)
+func (b *Buffer) QueueFree(out int) int {
+	return b.perQueue - b.g.queueSlots(b.queueOf(out))
 }
 
-// Tick advances the group's clock by one cycle. Exactly one view per
-// group has qBase 0, so ticking every view of a shared pool — which is
-// what a per-buffer loop naturally does — advances the clock once.
+// Tick advances the group's clock by one cycle; only kinds whose policy
+// reads packet ages (KindUsesClock) need it. Exactly one view per group
+// has qBase 0, so ticking every view of a shared pool — which is what a
+// per-buffer loop naturally does — advances the clock once.
 // damqvet:hotpath
-func (c *composed) Tick() {
-	if c.qBase == 0 {
-		c.g.pool.Tick()
+func (b *Buffer) Tick() {
+	if b.qBase == 0 {
+		b.g.pool.Tick()
 	}
 }
 
-var _ Buffer = (*composed)(nil)
-
-// PoolBuffer is a composed buffer whose storage faults can be injected:
-// it exposes the slot-pool quarantine machinery and structural
-// self-checks. All dynamically pooled kinds (DAMQ, DAFC, DT, FB, BShare)
-// construct as PoolBuffers; the 1988 non-pooled kinds (FIFO, SAMQ, SAFC)
-// stay plain composed buffers so the fault injector's slot schedules —
-// which target only quarantine-capable buffers — are unchanged from the
-// seed implementations.
-type PoolBuffer struct {
-	composed
-}
-
-// DAMQBuffer is the paper's dynamically allocated multi-queue buffer —
-// complete sharing composed over the slot pool. The name survives the
-// admission/storage split as an alias so the facade, tests, and the
-// comcobb chip model keep their vocabulary.
-type DAMQBuffer = PoolBuffer
-
 // NewDAMQ constructs a DAMQ buffer with the given queue count and total
-// slot capacity.
-func NewDAMQ(numOutputs, capacity int) *DAMQBuffer {
-	return newPoolBuffer(DAMQ, numOutputs, capacity, 1, completeSharing{}, 0, false, false, "damq")
-}
-
-func newPoolBuffer(kind Kind, numOutputs, capacity, maxReads int, pol AdmissionPolicy, classes int, clocked, portCheck bool, prefix string) *PoolBuffer {
-	g := newGroup(numOutputs, capacity, clocked, pol, classes, func(q int) int { return q })
-	return &PoolBuffer{composed{
-		g:          g,
-		kind:       kind,
-		numOutputs: numOutputs,
-		nominalCap: capacity,
-		maxReads:   maxReads,
-		portCheck:  portCheck,
-		prefix:     prefix,
-	}}
+// slot capacity. Like MustNew it panics, with an error wrapping
+// cfgerr.ErrBadPorts or cfgerr.ErrBadCapacity, on an invalid geometry.
+func NewDAMQ(numOutputs, capacity int) *Buffer {
+	return MustNew(Config{Kind: DAMQ, NumOutputs: numOutputs, Capacity: capacity})
 }
 
 // QuarantineSlot takes this view's slot s out of service; see
 // SlotPool.QuarantineSlot. Slot numbering is view-local: under a shared
 // pool, each input port's view addresses its own nominal-capacity window
 // of the pool, so fault schedules computed per buffer keep working when
-// storage spans ports.
-func (b *PoolBuffer) QuarantineSlot(s int) bool {
+// storage spans ports. Fault injection targets only the kinds whose slots
+// are dynamically pooled (KindSharesPool); it panics on an out-of-range
+// slot.
+func (b *Buffer) QuarantineSlot(s int) bool {
 	if s < 0 || s >= b.nominalCap {
-		panic(fmt.Sprintf("%s: QuarantineSlot(%d) out of range [0,%d)", b.prefix, s, b.nominalCap))
+		panic(fmt.Sprintf("%s: QuarantineSlot(%d) out of range [0,%d)", kindPrefix(b.kind), s, b.nominalCap))
 	}
 	return b.g.pool.QuarantineSlot(b.slotBase + s)
 }
@@ -288,81 +370,39 @@ func (b *PoolBuffer) QuarantineSlot(s int) bool {
 // Quarantined reports how many slots of this view's window are fully out
 // of service (pending slots still serving a packet are not counted until
 // released).
-func (b *PoolBuffer) Quarantined() int {
+func (b *Buffer) Quarantined() int {
 	return b.g.pool.QuarantinedIn(b.slotBase, b.slotBase+b.nominalCap)
 }
 
 // CheckInvariants verifies the structural health of the backing pool,
-// including that every packet sits on the queue its OutPort routes to.
-func (b *PoolBuffer) CheckInvariants() error {
-	return b.g.pool.CheckInvariants(b.g.expectOut)
+// including, for the per-output kinds, that every packet sits on the
+// queue its OutPort routes to.
+func (b *Buffer) CheckInvariants() error {
+	return b.g.checkInvariants()
 }
 
 // Dump renders the backing pool's linked-list structure for debugging.
-func (b *PoolBuffer) Dump() string { return b.g.pool.Dump() }
+func (b *Buffer) Dump() string { return b.g.pool.Dump() }
 
 // QueueSlots reports the slots currently held by the queue for out, used
 // by tests and the occupancy ablation.
-func (b *PoolBuffer) QueueSlots(out int) int { return b.g.queueSlots(b.qBase + out) }
+func (b *Buffer) QueueSlots(out int) int { return b.g.queueSlots(b.queueOf(out)) }
 
-// Pool exposes the backing slot pool for tests and structural tooling.
-func (b *PoolBuffer) Pool() *SlotPool { return &b.g.pool }
-
-var _ Buffer = (*PoolBuffer)(nil)
-
-// newFIFO composes the control design: one queue over the whole pool,
-// complete sharing, one read port. Only the head packet is visible to
-// the crossbar — head-of-line blocking falls out of the single-queue
-// layout, not the policy.
-func newFIFO(numOutputs, capacity int) *composed {
-	g := newGroup(1, capacity, false, completeSharing{}, 0, nil)
-	return &composed{
-		g:          g,
-		kind:       FIFO,
-		numOutputs: numOutputs,
-		nominalCap: capacity,
-		maxReads:   1,
-		single:     true,
-		prefix:     "fifo",
-	}
-}
-
-// newStatic composes both statically allocated designs, SAMQ and SAFC:
-// per-output queues with a complete-partitioning policy. The two differ
-// only in read bandwidth: SAMQ keeps all queues in one single-read-port
-// RAM, SAFC gives every queue its own RAM and crossbar lane. Admission
-// is identical.
-func newStatic(kind Kind, numOutputs, capacity int) *composed {
-	per := capacity / numOutputs
-	reads := 1
-	if kind == SAFC {
-		reads = numOutputs
-	}
-	g := newGroup(numOutputs, capacity, false, completePartition{perQueue: per},
-		0, func(q int) int { return q })
-	return &composed{
-		g:          g,
-		kind:       kind,
-		numOutputs: numOutputs,
-		nominalCap: capacity,
-		maxReads:   reads,
-		perQueue:   per,
-		portCheck:  true,
-		prefix:     kind.String(),
-	}
-}
+// Pool exposes the backing slot pool to the checkpoint codec, the
+// observer, and tests. All views of a shared group return the same pool.
+func (b *Buffer) Pool() *SlotPool { return &b.g.pool }
 
 // buildPolicy resolves cfg's kind and sharing knobs into the admission
-// policy for a pool of poolCap total slots, plus the class count and
-// whether the pool needs the enqueue-stamp clock. poolCap equals
-// cfg.Capacity for a per-port buffer and inputs*cfg.Capacity for a
-// shared group — FB's per-class reserve scales with the real pool.
-func buildPolicy(cfg Config, poolCap int) (pol AdmissionPolicy, classes int, clocked bool) {
+// policy for a pool of poolCap total slots, plus the class count.
+// poolCap equals cfg.Capacity for a per-port buffer and
+// inputs*cfg.Capacity for a shared group — FB's per-class reserve
+// scales with the real pool.
+func buildPolicy(cfg Config, poolCap int) (pol AdmissionPolicy, classes int) {
 	switch cfg.Kind {
 	case SAMQ, SAFC:
-		return completePartition{perQueue: cfg.Capacity / cfg.NumOutputs}, 0, false
+		return completePartition{perQueue: cfg.Capacity / cfg.NumOutputs}, 0
 	case DT:
-		return dynThreshold{alpha: cfg.Sharing.alpha()}, 0, false
+		return dynThreshold{alpha: cfg.Sharing.alpha()}, 0
 	case FB:
 		classes = cfg.Sharing.classes()
 		// Half the pool is hard-reserved in equal per-class quotas, the
@@ -371,25 +411,20 @@ func buildPolicy(cfg Config, poolCap int) (pol AdmissionPolicy, classes int, clo
 			classes: classes,
 			alpha:   cfg.Sharing.alpha(),
 			reserve: poolCap / classes / 2,
-		}, classes, false
+		}, classes
 	case BSHARE:
 		return bshare{
 			alpha:   cfg.Sharing.alpha(),
 			target:  cfg.Sharing.delayTarget(),
 			reserve: 1,
-		}, 0, true
+		}, 0
 	default: // FIFO, DAMQ, DAFC
-		return completeSharing{}, 0, false
+		return completeSharing{}, 0
 	}
 }
 
-func kindReads(k Kind, numOutputs int) int {
-	if k == SAFC || k == DAFC {
-		return numOutputs
-	}
-	return 1
-}
-
+// kindPrefix is the error-message prefix of k's buffers: the seed
+// implementations' strings, which TestLegacyKindsBitIdentical pins.
 func kindPrefix(k Kind) string {
 	switch k {
 	case FIFO:
@@ -408,17 +443,16 @@ func kindPrefix(k Kind) string {
 }
 
 // NewSharedGroup constructs one storage group spanning inputs ports and
-// returns the per-port Buffer views onto it: pool capacity is
+// returns the per-port views onto it: pool capacity is
 // inputs*cfg.Capacity, pool queues are the inputs*NumOutputs (input,
 // output) pairs, and the admission policy decides over switch-wide
 // occupancy. Only pooled kinds may share (KindSharesPool); the static
 // 1988 designs pre-partition storage per port by definition, so asking
 // for them shared is a config error wrapping cfgerr.ErrBadSharing.
 //
-// Every returned view is a *PoolBuffer whose quarantine window is its
-// own port's cfg.Capacity slots, so per-buffer fault schedules hold when
-// storage spans ports.
-func NewSharedGroup(cfg Config, inputs int) ([]Buffer, error) {
+// Every view's quarantine window is its own port's cfg.Capacity slots,
+// so per-buffer fault schedules hold when storage spans ports.
+func NewSharedGroup(cfg Config, inputs int) ([]*Buffer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -430,23 +464,10 @@ func NewSharedGroup(cfg Config, inputs int) ([]Buffer, error) {
 		return nil, fmt.Errorf("buffer: %v (policy %s) cannot share one pool across ports: %w",
 			cfg.Kind, cfg.Kind.PolicyName(), cfgerr.ErrBadSharing)
 	}
-	poolCap := inputs * cfg.Capacity
-	pol, classes, clocked := buildPolicy(cfg, poolCap)
-	n := cfg.NumOutputs
-	g := newGroup(inputs*n, poolCap, clocked, pol, classes, func(q int) int { return q % n })
-	views := make([]Buffer, inputs)
+	g := newGroup(cfg, inputs)
+	views := make([]*Buffer, inputs)
 	for i := range views {
-		views[i] = &PoolBuffer{composed{
-			g:          g,
-			kind:       cfg.Kind,
-			numOutputs: n,
-			nominalCap: cfg.Capacity,
-			qBase:      i * n,
-			slotBase:   i * cfg.Capacity,
-			maxReads:   kindReads(cfg.Kind, n),
-			portCheck:  KindModern(cfg.Kind),
-			prefix:     kindPrefix(cfg.Kind),
-		}}
+		views[i] = newView(cfg, g, i)
 	}
 	return views, nil
 }

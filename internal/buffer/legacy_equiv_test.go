@@ -436,7 +436,7 @@ func newLegacyBuffer(t *testing.T, k Kind, outputs, capacity int) seedBuffer {
 
 // compareState fails the test when the composed buffer's observable
 // state differs in any way from the legacy implementation's.
-func compareState(t *testing.T, k Kind, seed uint64, step int, op string, got Buffer, want seedBuffer) {
+func compareState(t *testing.T, k Kind, seed uint64, step int, op string, got *Buffer, want seedBuffer) {
 	t.Helper()
 	if got.Len() != want.Len() || got.Free() != want.Free() || got.Empty() != want.Empty() {
 		t.Fatalf("%v seed %d step %d after %s: len/free/empty = %d/%d/%v, legacy %d/%d/%v",
@@ -460,7 +460,7 @@ func compareState(t *testing.T, k Kind, seed uint64, step int, op string, got Bu
 				k, seed, step, op, out, bit, want.Head(out))
 		}
 	}
-	gq, gok := got.(quarantiner)
+	gq, gok := got, KindSharesPool(k)
 	lq, lok := want.(quarantiner)
 	if gok != lok {
 		t.Fatalf("%v: quarantine surface differs: composed %v, legacy %v", k, gok, lok)
@@ -525,7 +525,7 @@ func TestLegacyKindsBitIdentical(t *testing.T) {
 					compareState(t, k, seed, step, "pop", composed, legacy)
 				case r < 0.96: // quarantine a random slot, where supported
 					s := src.Intn(capacity)
-					gq, gok := composed.(quarantiner)
+					gq, gok := composed, KindSharesPool(k)
 					lq, lok := legacy.(quarantiner)
 					if gok != lok {
 						t.Fatalf("%v: quarantine surface differs: composed %v, legacy %v", k, gok, lok)

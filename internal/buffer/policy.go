@@ -12,7 +12,7 @@ import "damq/internal/packet"
 type AdmissionPolicy interface {
 	// Name is the policy's short name for error messages and reports.
 	Name() string
-	// Admit reports whether p may join queue q of g. The composed buffer
+	// Admit reports whether p may join queue q of g. The Buffer
 	// has already rejected out-of-range ports (where the kind demands it)
 	// and packets larger than the pool's free space.
 	Admit(p *packet.Packet, g *group, q int) bool

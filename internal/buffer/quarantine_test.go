@@ -152,7 +152,7 @@ func TestQuarantineOutOfRangePanics(t *testing.T) {
 
 func TestDAFCQuarantineInherited(t *testing.T) {
 	b := MustNew(Config{Kind: DAFC, NumOutputs: 2, Capacity: 8})
-	d, ok := b.(interface {
+	d, ok := any(b).(interface {
 		QuarantineSlot(int) bool
 		Quarantined() int
 	})
@@ -314,7 +314,7 @@ func TestDAMQPropertyVsReference(t *testing.T) {
 
 // quarReconcile moves slot s from pending to quarantined in the model iff
 // the implementation has done so.
-func (m *refModel) quarReconcile(b *DAMQBuffer, s int) bool {
+func (m *refModel) quarReconcile(b *Buffer, s int) bool {
 	if b.Pool().slotOut(s) {
 		m.quar[s] = true
 		return true

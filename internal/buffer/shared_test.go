@@ -7,7 +7,7 @@ import (
 	"damq/internal/cfgerr"
 )
 
-func sharedViews(t *testing.T, cfg Config, inputs int) []Buffer {
+func sharedViews(t *testing.T, cfg Config, inputs int) []*Buffer {
 	t.Helper()
 	views, err := NewSharedGroup(cfg, inputs)
 	if err != nil {
@@ -52,7 +52,7 @@ func TestSharedGroupSpansPorts(t *testing.T) {
 		t.Fatalf("v1.Pop(0) = %v, want pkt 7", p)
 	}
 	for _, v := range views {
-		if err := v.(*PoolBuffer).CheckInvariants(); err != nil {
+		if err := v.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -63,7 +63,7 @@ func TestSharedGroupSpansPorts(t *testing.T) {
 // without colliding, and a quarantine anywhere shrinks everyone's Free.
 func TestSharedGroupQuarantineWindows(t *testing.T) {
 	views := sharedViews(t, Config{Kind: DT, NumOutputs: 2, Capacity: 4}, 2)
-	v0, v1 := views[0].(*PoolBuffer), views[1].(*PoolBuffer)
+	v0, v1 := views[0], views[1]
 	if !v1.QuarantineSlot(0) {
 		t.Fatal("QuarantineSlot(0) on view 1 = false")
 	}
@@ -100,10 +100,10 @@ func TestSharedGroupTickOnce(t *testing.T) {
 	views := sharedViews(t, Config{Kind: BSHARE, NumOutputs: 2, Capacity: 4}, 4)
 	for cycle := 0; cycle < 3; cycle++ {
 		for _, v := range views {
-			v.(Ticker).Tick()
+			v.Tick()
 		}
 	}
-	if now := views[0].(*PoolBuffer).Pool().Now(); now != 3 {
+	if now := views[0].Pool().Now(); now != 3 {
 		t.Fatalf("pool clock = %d after 3 tick sweeps, want 3", now)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // bytes, and the BShare clock — is what Restore must reproduce, because
 // slot assignment order is observable (quarantine schedules target slot
 // indices and delay-driven admission reads enqueue stamps). The derived
-// per-view and per-group counters of the composed buffers are not
+// per-view and per-group counters of the buffer views are not
 // serialized; ResyncAfterRestore recomputes them and then audits the
 // loaded pool with CheckInvariants. The pool's occupancy word is derived
 // too: LoadState rebuilds it from the per-queue packet counters.
@@ -194,64 +194,36 @@ func (sp *SlotPool) LoadState(st *SlotPoolState) error {
 	return nil
 }
 
-// viewer exposes a composed buffer's view parameters to the restore
-// path. Every Buffer this package constructs is a composed view (plain
-// for the 1988 static kinds, PoolBuffer for the pooled ones), so the
-// interface is satisfied across the board without widening Buffer.
-type viewer interface {
-	poolView() *composed
-}
-
-func (c *composed) poolView() *composed { return c }
-
-// PoolOf returns the slot pool backing b, for the checkpoint codec.
-func PoolOf(b Buffer) (*SlotPool, bool) {
-	v, ok := b.(viewer)
-	if !ok {
-		return nil, false
-	}
-	return &v.poolView().g.pool, true
-}
-
 // ResyncAfterRestore recomputes the derived counters of the views over
 // one freshly loaded storage group — per-view packet counts and, for
 // class-aware policies, the pool-wide per-class slot tally — and then
-// audits the pool with CheckInvariants. All of bufs must share one
+// audits the pool with CheckInvariants. All of views must share one
 // group: pass one per-port buffer alone, or every view of a shared pool
 // together. The audit runs before any chain walk that rebuilds class
 // tallies, so a corrupted stream fails with an error instead of looping.
-func ResyncAfterRestore(bufs []Buffer) error {
-	var g *group
-	views := make([]*composed, 0, len(bufs))
-	for _, b := range bufs {
-		v, ok := b.(viewer)
-		if !ok {
-			return fmt.Errorf("buffer: %T cannot be checkpoint-restored", b)
-		}
-		c := v.poolView()
-		if g == nil {
-			g = c.g
-		} else if c.g != g {
-			return fmt.Errorf("buffer: restored views do not share one storage group")
-		}
-		views = append(views, c)
-	}
-	if g == nil {
+func ResyncAfterRestore(views []*Buffer) error {
+	if len(views) == 0 {
 		return nil
 	}
-	if err := g.pool.CheckInvariants(g.expectOut); err != nil {
+	g := views[0].g
+	for _, b := range views[1:] {
+		if b.g != g {
+			return fmt.Errorf("buffer: restored views do not share one storage group")
+		}
+	}
+	if err := g.checkInvariants(); err != nil {
 		return err
 	}
-	for _, c := range views {
-		qn := c.numOutputs
-		if c.single {
+	for _, b := range views {
+		qn := b.numOutputs
+		if b.single {
 			qn = 1
 		}
 		n := 0
-		for q := c.qBase; q < c.qBase+qn; q++ {
+		for q := b.qBase; q < b.qBase+qn; q++ {
 			n += g.pool.QueueLen(q)
 		}
-		c.pkts = n
+		b.pkts = n
 	}
 	if g.classSlots != nil {
 		for i := range g.classSlots {

@@ -30,7 +30,7 @@ import (
 // Queues are anonymous indices: a per-port buffer maps output ports to
 // queues one-to-one, the switch-wide shared pool maps (input, output)
 // pairs to queues, and a FIFO uses a single queue. That mapping lives in
-// the composed Buffer, not here.
+// the Buffer view, not here.
 type SlotPool struct {
 	numQueues int
 	capacity  int
@@ -392,7 +392,7 @@ func (sp *SlotPool) Reset() {
 // slot is on exactly one list (or quarantined and on none), per-queue
 // counters match the lists, queue order is intact, and free accounting is
 // exact. expect, if non-nil, maps a queue index to the OutPort every
-// packet on that queue must carry (the composed buffer supplies its
+// packet on that queue must carry (the Buffer view supplies its
 // queue-to-port layout); pass nil to skip the routing check. Tests call
 // it after random operation sequences; it is the software analogue of the
 // FSM synchronization argument in Section 3.2.3 of the paper.

@@ -95,11 +95,11 @@ type Sim struct {
 	eng Engine
 
 	// Per stage, per switch, per port state.
-	bufs         [][][]buffer.Buffer // [stage][switch][input]
-	outBusyUntil [][][]int64         // [stage][switch][output]
-	readCount    [][][]int           // concurrent reads per input buffer
-	transmitting [][][]bool          // per switch, flat [in*radix+out]: pairs mid-transmission
-	rr           [][]int             // per-switch rotating fairness offset
+	bufs         [][][]*buffer.Buffer // [stage][switch][input]
+	outBusyUntil [][][]int64          // [stage][switch][output]
+	readCount    [][][]int            // concurrent reads per input buffer
+	transmitting [][][]bool           // per switch, flat [in*radix+out]: pairs mid-transmission
+	rr           [][]int              // per-switch rotating fairness offset
 
 	srcQ         []pktq.Queue // per-source injection backlog (ring, shrink-on-drain)
 	srcBusyUntil []int64
@@ -146,12 +146,12 @@ func New(cfg Config) (*Sim, error) {
 	}
 
 	for st := 0; st < top.Stages(); st++ {
-		var bufRow [][]buffer.Buffer
+		var bufRow [][]*buffer.Buffer
 		var busyRow [][]int64
 		var readRow [][]int
 		var txRow [][]bool
 		for sw := 0; sw < top.SwitchesPerStage(); sw++ {
-			var bs []buffer.Buffer
+			var bs []*buffer.Buffer
 			for in := 0; in < cfg.Radix; in++ {
 				b, err := buffer.New(buffer.Config{
 					Kind:       cfg.BufferKind,
@@ -264,19 +264,17 @@ func (s *Sim) kickSource(src int) {
 	}
 	p := q.Front()
 	swIdx, port := s.top.FirstStageSwitch(src)
-	out := s.top.RouteDigit(p.Dest, 0)
-	if !s.bufs[0][swIdx][port].CanAcceptTo(out, p) {
+	// Routing a refused head is harmless: the retry routes it the same
+	// way. The admission policy runs once.
+	p.OutPort = s.top.RouteDigit(p.Dest, 0)
+	if !s.bufs[0][swIdx][port].TryAccept(p) {
 		return // retried when the stage-0 buffer frees slots
 	}
 	q.PopFront()
 	dur := s.duration(p)
 	s.srcBusyUntil[src] = now + dur
-	p.OutPort = out
 	p.ReadyAt = now + s.cfg.RouteDelay
 	p.Injected = now
-	if err := s.bufs[0][swIdx][port].Accept(p); err != nil {
-		panic(err)
-	}
 	s.eng.At(p.ReadyAt, Event{kind: evKickSwitch, a: 0, b: int32(swIdx)})
 	s.eng.At(now+dur, Event{kind: evKickSource, a: int32(src)})
 }
@@ -358,8 +356,8 @@ func (s *Sim) startTx(st, sw, in, out int) {
 		np := s.alloc.Clone(p)
 		np.OutPort = s.top.RouteDigit(p.Dest, st+1)
 		np.ReadyAt = now + s.cfg.RouteDelay
-		if err := s.bufs[st+1][nsw][nport].Accept(np); err != nil {
-			panic(fmt.Sprintf("eventsim: downstream accept after probe: %v", err))
+		if !s.bufs[st+1][nsw][nport].TryAccept(np) {
+			panic("eventsim: downstream refused a packet its probe admitted")
 		}
 		s.eng.At(np.ReadyAt, Event{kind: evKickSwitch, a: int32(st + 1), b: int32(nsw)})
 	}

@@ -87,7 +87,7 @@ type legacySim struct {
 	top *omega.Topology
 	eng legacyEngine
 
-	bufs         [][][]buffer.Buffer
+	bufs         [][][]*buffer.Buffer
 	outBusyUntil [][][]int64
 	readCount    [][][]int
 	transmitting [][]map[[2]int]bool
@@ -121,12 +121,12 @@ func newLegacySim(cfg Config) (*legacySim, error) {
 	}
 
 	for st := 0; st < top.Stages(); st++ {
-		var bufRow [][]buffer.Buffer
+		var bufRow [][]*buffer.Buffer
 		var busyRow [][]int64
 		var readRow [][]int
 		var txRow []map[[2]int]bool
 		for sw := 0; sw < top.SwitchesPerStage(); sw++ {
-			var bs []buffer.Buffer
+			var bs []*buffer.Buffer
 			for in := 0; in < cfg.Radix; in++ {
 				b, err := buffer.New(buffer.Config{
 					Kind:       cfg.BufferKind,

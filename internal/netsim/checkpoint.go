@@ -110,11 +110,7 @@ func (s *Sim) Checkpoint(w io.Writer) error {
 		e.I64(s.measured)
 		encodeSummary(e, s.backlog.Save())
 	})
-	e.Section(secSwitches, func(e *checkpoint.Encoder) {
-		if err := s.encodeSwitches(e); err != nil && encErr == nil {
-			encErr = err
-		}
-	})
+	e.Section(secSwitches, s.encodeSwitches)
 	e.Section(secSources, s.encodeSources)
 	e.Section(secShards, func(e *checkpoint.Encoder) {
 		if err := s.encodeShards(e); err != nil && encErr == nil {
@@ -271,35 +267,28 @@ func decodeRng(d *checkpoint.Decoder, src *rng.Source, what string) error {
 // rngSourced is the accessor every RNG-backed traffic pattern exposes.
 type rngSourced interface{ Src() *rng.Source }
 
-func (s *Sim) encodeSwitches(e *checkpoint.Encoder) error {
+func (s *Sim) encodeSwitches(e *checkpoint.Encoder) {
 	for st := range s.stages {
 		for _, swc := range s.stages[st] {
 			ast := swc.Arbiter().SaveState()
 			e.Int(ast.Prio)
 			e.I64s(ast.Stale)
-			if err := s.encodeSwitchPools(e, swc); err != nil {
-				return err
-			}
+			s.encodeSwitchPools(e, swc)
 		}
 	}
-	return nil
 }
 
 // encodeSwitchPools writes the slot-pool state behind one switch: one
 // pool when the switch shares storage across its inputs, one per input
 // port otherwise. Packet bodies ride inside the pool state, each exactly
 // once (multi-slot packets occupy several slots but serialize once).
-func (s *Sim) encodeSwitchPools(e *checkpoint.Encoder, swc *sw.Switch) error {
+func (s *Sim) encodeSwitchPools(e *checkpoint.Encoder, swc *sw.Switch) {
 	pools := swc.Ports()
 	if s.cfg.SharedPool {
 		pools = 1
 	}
 	for in := 0; in < pools; in++ {
-		sp, ok := buffer.PoolOf(swc.Buffer(in))
-		if !ok {
-			return fmt.Errorf("netsim: %T buffer cannot be checkpointed", swc.Buffer(in))
-		}
-		st := sp.SaveState()
+		st := swc.Buffer(in).Pool().SaveState()
 		e.I32s(st.Next)
 		e.I32s(st.Owner)
 		e.I32(st.FreeHead)
@@ -324,7 +313,6 @@ func (s *Sim) encodeSwitchPools(e *checkpoint.Encoder, swc *sw.Switch) error {
 			encodePacket(e, p)
 		}
 	}
-	return nil
 }
 
 func (s *Sim) decodeSwitches(d *checkpoint.Decoder) error {
@@ -387,14 +375,10 @@ func (s *Sim) decodeSwitchPools(d *checkpoint.Decoder, stIdx, si int, swc *sw.Sw
 		if d.Err() != nil {
 			return d.Err()
 		}
-		sp, ok := buffer.PoolOf(swc.Buffer(in))
-		if !ok {
-			return ckptErr("stage %d switch %d has no restorable pool", stIdx, si)
-		}
-		if err := sp.LoadState(st); err != nil {
+		if err := swc.Buffer(in).Pool().LoadState(st); err != nil {
 			return ckptErr("stage %d switch %d input %d: %v", stIdx, si, in, err)
 		}
-		views := []buffer.Buffer{swc.Buffer(in)}
+		views := []*buffer.Buffer{swc.Buffer(in)}
 		if s.cfg.SharedPool {
 			views = swc.Buffers()
 		}

@@ -567,7 +567,7 @@ func TestCheckpointRejectsWrappedQueueCounts(t *testing.T) {
 		want int
 	}{
 		{"packets", qPkts, b.QueueLen(q)},
-		{"slots", qSlots, b.(*buffer.PoolBuffer).QueueSlots(q)},
+		{"slots", qSlots, b.QueueSlots(q)},
 	} {
 		if got := int(binary.LittleEndian.Uint64(raw[c.at:])); got != c.want {
 			t.Fatalf("%s counter of queue %d encoded as %d, want %d: layout drifted", c.name, q, got, c.want)

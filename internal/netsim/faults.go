@@ -4,19 +4,10 @@ import (
 	"fmt"
 	"sort"
 
+	"damq/internal/buffer"
 	"damq/internal/fault"
 	"damq/internal/obs"
 )
-
-// quarantiner is the capability a buffer organization must expose for
-// slot-stuck faults to apply. The dynamically allocated organizations
-// (DAMQ, DAFC) implement it on their slot pool; statically partitioned
-// and FIFO buffers have no slot pool to degrade, so slot faults skip
-// them.
-type quarantiner interface {
-	QuarantineSlot(int) bool
-	Quarantined() int
-}
 
 // slotEvent is one precomputed slot failure: at cycle, slot slot of the
 // buffer at (stage st, switch si, input in) goes out of service.
@@ -92,7 +83,10 @@ func (s *Sim) SetFaults(fc fault.Config) error {
 		inj:      inj,
 		linkDown: fc.LinkTransientRate > 0 || fc.LinkDeadRate > 0,
 	}
-	if fc.SlotStuckRate > 0 {
+	// Slot faults apply only to dynamically pooled kinds
+	// (buffer.KindSharesPool): the fault model shrinks a shared free
+	// list, which the static layouts do not have in the paper's hardware.
+	if fc.SlotStuckRate > 0 && buffer.KindSharesPool(s.cfg.BufferKind) {
 		f.events = s.buildSlotSchedule(inj)
 	}
 	s.flt = f
@@ -111,9 +105,6 @@ func (s *Sim) buildSlotSchedule(inj *fault.Injector) []slotEvent {
 	for st := range s.stages {
 		for si, swc := range s.stages[st] {
 			for in := 0; in < swc.Ports(); in++ {
-				if _, ok := swc.Buffer(in).(quarantiner); !ok {
-					continue
-				}
 				site := fault.BufferSite(st, si, in)
 				for sl := 0; sl < swc.Buffer(in).Capacity(); sl++ {
 					c := inj.SlotFailCycle(site, sl)
@@ -154,8 +145,7 @@ func (s *Sim) applyDueSlotFaults() {
 	for f.next < len(f.events) && f.events[f.next].cycle <= s.cycle {
 		ev := f.events[f.next]
 		f.next++
-		q := s.stages[ev.st][ev.si].Buffer(int(ev.in)).(quarantiner)
-		if q.QuarantineSlot(int(ev.sl)) {
+		if s.stages[ev.st][ev.si].Buffer(int(ev.in)).QuarantineSlot(int(ev.sl)) {
 			f.quarSlots++
 			if f.m != nil {
 				f.m.quarantined.Inc()
@@ -211,19 +201,15 @@ func (s *Sim) QuarantinedSlots() int64 {
 	return s.flt.quarSlots
 }
 
-// CheckBuffers runs every switch buffer's structural self-check (where
-// the organization provides one) and returns the first inconsistency.
+// CheckBuffers runs every switch buffer's structural self-check, whatever
+// its kind, and returns the first inconsistency.
 // The chaos-soak test calls it periodically: under fault injection the
 // linked lists must shrink gracefully, never corrupt.
 func (s *Sim) CheckBuffers() error {
 	for st := range s.stages {
 		for si, swc := range s.stages[st] {
 			for in := 0; in < swc.Ports(); in++ {
-				c, ok := swc.Buffer(in).(interface{ CheckInvariants() error })
-				if !ok {
-					continue
-				}
-				if err := c.CheckInvariants(); err != nil {
+				if err := swc.Buffer(in).CheckInvariants(); err != nil {
 					return fmt.Errorf("netsim: stage %d switch %d input %d: %w", st, si, in, err)
 				}
 			}

@@ -250,9 +250,9 @@ func TestSetFaultsValidates(t *testing.T) {
 	}
 }
 
-// TestStaticBuffersSkipSlotFaults: organizations without a slot pool
-// (FIFO, SAMQ) ignore slot faults instead of crashing, and link faults
-// still work.
+// TestStaticBuffersSkipSlotFaults: statically laid-out organizations
+// (FIFO, SAMQ; not buffer.KindSharesPool) ignore slot faults instead of
+// crashing, and link faults still work.
 func TestStaticBuffersSkipSlotFaults(t *testing.T) {
 	for _, kind := range []buffer.Kind{buffer.FIFO, buffer.SAMQ} {
 		cfg := chaosConfig(kind, sw.Discarding, 3)
@@ -275,6 +275,37 @@ func TestStaticBuffersSkipSlotFaults(t *testing.T) {
 		got := res.Delivered + res.DiscardedInNet + res.FaultedInNet + s.InFlight()
 		if res.Injected != got {
 			t.Fatalf("%v: conservation broken", kind)
+		}
+	}
+}
+
+// TestCheckBuffersAuditsStaticKinds: CheckBuffers audits every buffer,
+// whatever its kind, so a drifted queue counter in a FIFO or SAMQ
+// network is reported rather than skipped.
+func TestCheckBuffersAuditsStaticKinds(t *testing.T) {
+	for _, kind := range []buffer.Kind{buffer.FIFO, buffer.SAMQ} {
+		s, err := New(chaosConfig(kind, sw.Discarding, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 200; i++ {
+			s.Step(true)
+		}
+		if err := s.CheckBuffers(); err != nil {
+			t.Fatalf("%v: healthy network fails the audit: %v", kind, err)
+		}
+		sp := s.stages[0][0].Buffer(0).Pool()
+		st := sp.SaveState()
+		if st.QPkts[0] > 0 {
+			st.QPkts[0]--
+		} else {
+			st.QPkts[0]++
+		}
+		if err := sp.LoadState(st); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.CheckBuffers(); err == nil {
+			t.Fatalf("%v: CheckBuffers passed a drifted queue counter", kind)
 		}
 	}
 }

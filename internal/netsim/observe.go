@@ -149,8 +149,7 @@ func (s *Sim) SetObserver(o *obs.Observer) {
 		for st := range s.stages {
 			for _, swc := range s.stages[st] {
 				for in := 0; in < m.poolsPerSw; in++ {
-					sp, _ := buffer.PoolOf(swc.Buffer(in))
-					m.pools = append(m.pools, sp)
+					m.pools = append(m.pools, swc.Buffer(in).Pool())
 				}
 			}
 		}

@@ -48,7 +48,7 @@ func refSamplePoolSlots(s *Sim, m *netMetrics) {
 			ports := swc.Ports()
 			used := 0
 			for in := 0; in < ports; in++ {
-				sc, ok := swc.Buffer(in).(refSlotCounter)
+				sc, ok := any(swc.Buffer(in)).(refSlotCounter)
 				if !ok {
 					return // non-pooled kind: nothing to sample
 				}
@@ -182,7 +182,7 @@ func completedQuarantines(s *Sim) int64 {
 	for st := range s.stages {
 		for _, swc := range s.stages[st] {
 			for in := 0; in < swc.Ports(); in++ {
-				n += int64(swc.Buffer(in).(*buffer.PoolBuffer).Quarantined())
+				n += int64(swc.Buffer(in).Quarantined())
 			}
 		}
 	}

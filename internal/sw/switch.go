@@ -110,7 +110,7 @@ func (cfg Config) Validate() error {
 // Switch is one n×n switch instance.
 type Switch struct {
 	cfg  Config
-	bufs []buffer.Buffer
+	bufs []*buffer.Buffer
 	arb  *arbiter.Arbiter
 	// count tracks buffered packets across all input buffers so Len and
 	// Empty are O(1); the active-set network simulator polls them every
@@ -128,11 +128,9 @@ type Switch struct {
 	// m holds the observability probes; nil (the default) keeps every
 	// hot-path probe behind a never-taken branch.
 	m *Metrics
-	// tickers are the buffers whose admission policy reads packet ages;
-	// nil unless the kind uses a clock (BSHARE), so clockless switches
-	// pay one nil check in Tick. Under a shared pool it holds only the
-	// first view, the one that advances the group clock.
-	tickers []buffer.Ticker
+	// clocked is set when the kind's admission policy reads packet ages
+	// (BSHARE), so clockless switches pay one flag test in Tick.
+	clocked bool
 }
 
 // Metrics is the instrument set one observed switch maintains. Grant,
@@ -186,28 +184,23 @@ func New(cfg Config) (*Switch, error) {
 		}
 	}
 	s.reads = s.bufs[0].MaxReadsPerCycle()
-	if buffer.KindUsesClock(cfg.BufferKind) {
-		for _, b := range s.bufs {
-			if tk, ok := b.(buffer.Ticker); ok {
-				s.tickers = append(s.tickers, tk)
-			}
-		}
-		if cfg.SharedPool {
-			// One group, one clock: the first view ticks it.
-			s.tickers = s.tickers[:1]
-		}
-	}
+	s.clocked = buffer.KindUsesClock(cfg.BufferKind)
 	return s, nil
 }
 
 // Tick advances the clock of every age-reading buffer by one long cycle.
-// Clockless kinds make it a nil-check no-op. The network simulator calls
-// it from the inject phase — after all of a cycle's admission probes are
-// done — so ages only ever change between cycles, never mid-arbitration.
+// Clockless kinds make it a flag-test no-op; under a shared pool every
+// view is ticked and the buffer advances the group clock once. The
+// network simulator calls it from the inject phase — after all of a
+// cycle's admission probes are done — so ages only ever change between
+// cycles, never mid-arbitration.
 // damqvet:hotpath
 func (s *Switch) Tick() {
-	for _, tk := range s.tickers {
-		tk.Tick()
+	if !s.clocked {
+		return
+	}
+	for _, b := range s.bufs {
+		b.Tick()
 	}
 }
 
@@ -224,7 +217,7 @@ func MustNew(cfg Config) *Switch {
 func (s *Switch) Ports() int { return s.cfg.Ports }
 
 // Buffer exposes input i's buffer (for probes, tests, and statistics).
-func (s *Switch) Buffer(i int) buffer.Buffer { return s.bufs[i] }
+func (s *Switch) Buffer(i int) *buffer.Buffer { return s.bufs[i] }
 
 // Config returns the construction parameters.
 func (s *Switch) Config() Config { return s.cfg }
@@ -332,7 +325,7 @@ func (s *Switch) Arbiter() *arbiter.Arbiter { return s.arb }
 
 // Buffers returns the switch's per-input buffer views, for the
 // checkpoint codec (under a shared pool all views alias one group).
-func (s *Switch) Buffers() []buffer.Buffer { return s.bufs }
+func (s *Switch) Buffers() []*buffer.Buffer { return s.bufs }
 
 // Resync recomputes the cached switch-wide packet count after the
 // buffers have been checkpoint-restored, and checks the restored arbiter

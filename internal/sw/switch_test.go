@@ -185,7 +185,7 @@ func TestTickAdvancesClockOnce(t *testing.T) {
 			s.Tick()
 		}
 		for in := 0; in < s.Ports(); in++ {
-			sp, _ := buffer.PoolOf(s.Buffer(in))
+			sp := s.Buffer(in).Pool()
 			if now := sp.Now(); now != 3 {
 				t.Errorf("shared=%v input %d: pool clock %d after 3 ticks, want 3", shared, in, now)
 			}

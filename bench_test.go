@@ -147,14 +147,19 @@ func BenchmarkChipNetworkPacket(b *testing.B) {
 }
 
 // benchNetworkCycle measures the simulator's raw speed: one network cycle
-// of an inputs×inputs DAMQ Omega network at the given load.
+// of an inputs×inputs blocking DAMQ Omega network at the given load.
 func benchNetworkCycle(b *testing.B, inputs int, load float64, opts ...damq.Option) {
+	benchNetworkCycleProto(b, inputs, load, damq.Blocking, opts...)
+}
+
+// benchNetworkCycleProto is benchNetworkCycle under the given protocol.
+func benchNetworkCycleProto(b *testing.B, inputs int, load float64, proto damq.Protocol, opts ...damq.Option) {
 	sim, err := damq.NewNetwork(damq.NetworkConfig{
 		Inputs:     inputs,
 		BufferKind: damq.DAMQ,
 		Capacity:   4,
 		Policy:     damq.SmartArbitration,
-		Protocol:   damq.Blocking,
+		Protocol:   proto,
 		Traffic:    damq.TrafficSpec{Kind: damq.UniformTraffic, Load: load},
 		Seed:       1,
 	}, opts...)
@@ -187,6 +192,14 @@ func BenchmarkNetworkCycle(b *testing.B) { benchNetworkCycle(b, 64, 0.5) }
 // switches are empty most cycles, so it measures how well the active-set
 // core avoids paying for idle switches.
 func BenchmarkNetworkCycleLowLoad(b *testing.B) { benchNetworkCycle(b, 64, 0.2) }
+
+// BenchmarkNetworkCycleSparse is the light-load discarding regime of
+// Table 3 and the low end of Figure 3: at 0.02 load about one packet is
+// born per cycle, so nearly every shard is idle and the cycle cost is the
+// fixed per-shard overhead — mailbox handover and active-set upkeep.
+func BenchmarkNetworkCycleSparse(b *testing.B) {
+	benchNetworkCycleProto(b, 64, 0.02, damq.Discarding)
+}
 
 // BenchmarkNetworkCycleObserved is the dense case with an observer
 // attached (time series off): it tracks the overhead of the per-cycle

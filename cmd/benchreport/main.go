@@ -5,7 +5,7 @@
 // baseline; regenerate it after intentional performance work with:
 //
 //	go run ./cmd/benchreport -pkg ./... \
-//	    -bench 'BenchmarkNetworkCycle|BenchmarkChipNetworkPacket|BenchmarkAsyncEvent|BenchmarkAsyncExtension|BenchmarkDamqvetAnalysis' \
+//	    -bench 'BenchmarkNetworkCycle|BenchmarkChipNetworkPacket|BenchmarkAsyncEvent|BenchmarkAsyncExtension|BenchmarkDamqvetAnalysis|BenchmarkPolicyAdmit' \
 //	    -count 5 -notime 'Sharded|1024|Damqvet' -out BENCH_netsim.json
 //
 // The regex spans packages (the async event-engine benchmarks live in
@@ -35,6 +35,11 @@
 // (B/op also a small absolute slack) to absorb machine-to-machine noise.
 // A benchmark that improved beyond the tolerance prints a note suggesting
 // a baseline refresh but does not fail the check.
+//
+// The snapshot records the machine it was taken on (Go version, CPU
+// model, nproc, GOMAXPROCS). -check prints the baseline's fingerprint and
+// this host's, and warns when they differ; the warning changes no
+// verdict.
 package main
 
 import (
@@ -62,11 +67,11 @@ type Entry struct {
 
 // Report is the snapshot file's schema.
 type Report struct {
-	Package    string  `json:"package"`
-	BenchRegex string  `json:"bench_regex"`
-	NoTime     string  `json:"notime_regex,omitempty"`
-	Count      int     `json:"count"`
-	GoVersion  string  `json:"go_version"`
+	Package    string `json:"package"`
+	BenchRegex string `json:"bench_regex"`
+	NoTime     string `json:"notime_regex,omitempty"`
+	Count      int    `json:"count"`
+	Machine
 	Benchmarks []Entry `json:"benchmarks"`
 }
 
@@ -104,7 +109,7 @@ func main() {
 		BenchRegex: *bench,
 		NoTime:     *notime,
 		Count:      *count,
-		GoVersion:  goVersion(),
+		Machine:    thisMachine(),
 		Benchmarks: entries,
 	}
 	enc, err := json.MarshalIndent(rep, "", "  ")
@@ -162,6 +167,9 @@ func runCheck(baselinePath string, tol float64) {
 	}
 	if len(base.Benchmarks) == 0 {
 		fatal(fmt.Errorf("baseline %s records no benchmarks", baselinePath))
+	}
+	for _, l := range machineLines(base.Machine, thisMachine()) {
+		fmt.Println(l)
 	}
 	fresh := run(base.Package, base.BenchRegex, base.Count)
 	problems, notes := compare(base.Benchmarks, fresh, tol)
@@ -290,14 +298,6 @@ func parse(out string) ([]Entry, error) {
 		entries = append(entries, *byName[name])
 	}
 	return entries, nil
-}
-
-func goVersion() string {
-	out, err := exec.Command("go", "version").Output()
-	if err != nil {
-		return "unknown"
-	}
-	return strings.TrimSpace(string(out))
 }
 
 func fatal(err error) {

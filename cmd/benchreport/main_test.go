@@ -138,3 +138,21 @@ func TestCompareImprovementIsNoteNotFailure(t *testing.T) {
 		t.Error("large improvement produced no baseline-refresh note")
 	}
 }
+
+func TestMachineLinesFlagMismatch(t *testing.T) {
+	a := Machine{GoVersion: "go version go1.24.0 linux/amd64", CPU: "Xeon", NProc: 2, GOMAXPROCS: 2}
+	if lines := machineLines(a, a); len(lines) != 2 || !strings.Contains(lines[0], "Xeon") || !strings.Contains(lines[1], "nproc 2") {
+		t.Errorf("same machine: %q", lines)
+	}
+	b := a
+	b.NProc = 8
+	if lines := machineLines(a, b); len(lines) != 3 || !strings.Contains(lines[2], "differ") {
+		t.Errorf("nproc mismatch not flagged: %q", lines)
+	}
+	// A baseline written before the fingerprint existed records only the
+	// Go version; it never matches a fingerprinted host.
+	old := Machine{GoVersion: a.GoVersion}
+	if lines := machineLines(old, a); len(lines) != 3 || !strings.Contains(lines[0], "host not recorded") {
+		t.Errorf("unfingerprinted baseline: %q", lines)
+	}
+}

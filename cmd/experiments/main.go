@@ -6,6 +6,10 @@
 // Usage:
 //
 //	experiments -scale full > report.txt
+//	experiments -cpuprofile cpu.prof -memprofile mem.prof
+//
+// -cpuprofile and -memprofile write a CPU profile of the whole report and
+// a heap profile at exit, also when an interrupt cuts the report short.
 package main
 
 import (
@@ -22,10 +26,15 @@ import (
 	"damq"
 	"damq/internal/experiments"
 	"damq/internal/netsim"
+	"damq/internal/prof"
 )
 
 // sections tracks report progress so an interrupt can say how far it got.
 var sections, sectionsTotal int
+
+// stopProfiles ends -cpuprofile and writes -memprofile; exit runs it, so
+// every exit path that starts after the profiler does records a profile.
+var stopProfiles = func() error { return nil }
 
 func main() {
 	scaleName := flag.String("scale", "quick", "simulation scale: quick|full")
@@ -34,6 +43,8 @@ func main() {
 	reps := flag.Int("reps", 0, "replicate the saturation measurement across this many seeds, run concurrently on -workers goroutines (0 = skip)")
 	workers := flag.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
 	metricsPath := flag.String("metrics", "", "run one instrumented over-subscribed DAMQ simulation, write its metrics snapshot (with time series) to this path, and report the Figure-3-style curve recovered from it")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole report to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
 
 	sc := experiments.Quick
@@ -44,6 +55,9 @@ func main() {
 		os.Exit(1)
 	}
 	sc.Workers = *workers
+	stopProf, err := prof.Start(*cpuProfile, *memProfile)
+	orDie(err)
+	stopProfiles = stopProf
 
 	// SIGINT/SIGTERM cancel the remaining experiments cooperatively: the
 	// sections already printed stand, and the exit banner reports how far
@@ -212,6 +226,7 @@ func main() {
 		orDie(os.WriteFile(*jsonPath, raw, 0o644))
 		fmt.Printf("\nJSON report written to %s\n", *jsonPath)
 	}
+	exit(0)
 }
 
 func orDie(err error) {
@@ -221,8 +236,20 @@ func orDie(err error) {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		fmt.Fprintf(os.Stderr, "experiments: interrupted at %d/%d sections; the report above covers the completed ones\n",
 			sections, sectionsTotal)
-		os.Exit(130)
+		exit(130)
 	}
 	fmt.Fprintln(os.Stderr, "experiments:", err)
-	os.Exit(1)
+	exit(1)
+}
+
+// exit finishes the profiles and ends the process with code (1 if a
+// profile could not be written on an otherwise clean exit).
+func exit(code int) {
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		if code == 0 {
+			code = 1
+		}
+	}
+	os.Exit(code)
 }

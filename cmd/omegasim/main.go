@@ -36,6 +36,10 @@
 // continues such a run from exactly where it stopped; the resumed run's
 // results are byte-identical to never having been interrupted, at any
 // -workers count.
+//
+// -cpuprofile <file> and -memprofile <file> write a CPU profile of the
+// whole command and a heap profile at exit (go tool pprof reads both);
+// they are written on normal exit and on the interrupt path too.
 package main
 
 import (
@@ -52,7 +56,12 @@ import (
 	"damq/internal/checkpoint"
 	"damq/internal/experiments"
 	"damq/internal/plot"
+	"damq/internal/prof"
 )
+
+// stopProfiles ends -cpuprofile and writes -memprofile; exit runs it, so
+// every exit path that starts after the profiler does records a profile.
+var stopProfiles = func() error { return nil }
 
 func main() {
 	exp := flag.String("exp", "table4",
@@ -77,6 +86,8 @@ func main() {
 	ckptEvery := flag.Int64("checkpoint-every", 0, "run: save a checkpoint to -checkpoint-file after every N cycles (0 = only on interrupt)")
 	ckptFile := flag.String("checkpoint-file", "", "run: checkpoint path, written atomically (temp file, fsync, rename) so a kill mid-save never corrupts it")
 	resumePath := flag.String("resume", "", "run: resume from this checkpoint instead of starting fresh; topology, seed, progress, and fault schedule come from the file (-workers and -metrics still apply)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
 	workersSet := false
 	flag.Visit(func(f *flag.Flag) {
@@ -92,6 +103,10 @@ func main() {
 		fmt.Printf("%s: valid network metrics snapshot\n", *checkMetrics)
 		return
 	}
+
+	stopProf, err := prof.Start(*cpuProfile, *memProfile)
+	orDie(err)
+	stopProfiles = stopProf
 
 	sc := experiments.Quick
 	switch *scaleName {
@@ -210,6 +225,7 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown experiment %q", *exp))
 	}
+	exit(0)
 }
 
 func runOne(ctx context.Context, kindName string, shared bool, load float64, inputs, capacity int, protoName, policyName string, hot float64, sc experiments.Scale, workersSet bool, metricsPath string, metricsInterval int64, faultsSpec string, ckptEvery int64, ckptFile, resumePath string) {
@@ -317,7 +333,7 @@ func runOne(ctx context.Context, kindName string, shared bool, load float64, inp
 		if ckptFile != "" {
 			fmt.Printf("checkpoint saved to %s; continue with: omegasim -exp run -resume %s\n", ckptFile, ckptFile)
 		}
-		os.Exit(130)
+		exit(130)
 	}
 }
 
@@ -327,12 +343,24 @@ func orDie(err error) {
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		fmt.Fprintln(os.Stderr, "omegasim: interrupted before the experiment completed")
-		os.Exit(130)
+		exit(130)
 	}
 	fatal(err)
 }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "omegasim:", err)
-	os.Exit(1)
+	exit(1)
+}
+
+// exit finishes the profiles and ends the process with code (1 if a
+// profile could not be written on an otherwise clean exit).
+func exit(code int) {
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, "omegasim:", err)
+		if code == 0 {
+			code = 1
+		}
+	}
+	os.Exit(code)
 }

@@ -384,6 +384,7 @@ func NewNetwork(cfg NetworkConfig, opts ...Option) (*NetworkSim, error) {
 	}
 	if op.faultsSet {
 		if err := sim.SetFaults(op.faults); err != nil {
+			sim.Close() // New already started the worker gang
 			return nil, err
 		}
 	}

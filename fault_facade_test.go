@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"damq"
 )
@@ -194,5 +196,28 @@ func TestFaultParsersFacade(t *testing.T) {
 	}
 	if n := len(damq.FaultKinds()); n != 4 {
 		t.Fatalf("FaultKinds() = %d kinds", n)
+	}
+}
+
+// TestNewNetworkBadFaultsReleasesWorkers: when WithFaults carries an
+// invalid config, NewNetwork fails after the sharded Sim has started its
+// worker gang; the gang must be closed on that error path, or every such
+// call leaks its worker goroutines.
+func TestNewNetworkBadFaultsReleasesWorkers(t *testing.T) {
+	cfg := optionTestConfig()
+	bad := damq.FaultConfig{LinkTransientRate: 2}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		if _, err := damq.NewNetwork(cfg, damq.WithWorkers(4), damq.WithFaults(bad)); err == nil {
+			t.Fatal("NewNetwork accepted LinkTransientRate 2")
+		}
+	}
+	// Closed workers exit asynchronously; give them a moment.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines left behind by 5 failed NewNetwork calls", n-before)
 	}
 }

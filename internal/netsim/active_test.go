@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"damq/internal/arbiter"
@@ -57,6 +58,16 @@ func TestActiveSetMatchesFullScan(t *testing.T) {
 			BufferKind: buffer.DAMQ, Capacity: 4, Policy: arbiter.Smart, Protocol: sw.Blocking,
 			Traffic: TrafficSpec{Kind: Uniform, Load: 0.4},
 			Seed:    17, WarmupCycles: 300, MeasureCycles: 1200,
+		}},
+		{"sparse discarding DAMQ", Config{
+			BufferKind: buffer.DAMQ, Capacity: 4, Policy: arbiter.Smart, Protocol: sw.Discarding,
+			Traffic: TrafficSpec{Kind: Uniform, Load: 0.02},
+			Seed:    18, WarmupCycles: 300, MeasureCycles: 4000,
+		}},
+		{"hot-spot discarding DAMQ", Config{
+			BufferKind: buffer.DAMQ, Capacity: 4, Policy: arbiter.Smart, Protocol: sw.Discarding,
+			Traffic: TrafficSpec{Kind: HotSpot, Load: 0.4, HotFraction: 0.05},
+			Seed:    19, WarmupCycles: 300, MeasureCycles: 1200,
 		}},
 	}
 	for _, tc := range cases {
@@ -133,6 +144,61 @@ func TestActiveSetSortedInvariant(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestShardBookkeepingExact checks, after every cycle, that each shard's
+// idle-skipping bookkeeping describes the network exactly: the active
+// lists hold precisely the owned switches with packets, nActive is their
+// total length, outMask has bit d set exactly when outbox[d] holds
+// transfers, and the inject phase consumed inMask. A stale entry or bit
+// changes no result — it only costs time — so the equivalence tests
+// alone cannot see one.
+func TestShardBookkeepingExact(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		for _, load := range []float64{0.02, 0.3} {
+			sim, err := New(Config{
+				BufferKind: buffer.DAMQ, Capacity: 4, Policy: arbiter.Smart, Protocol: sw.Discarding,
+				Traffic: TrafficSpec{Kind: Uniform, Load: load}, Seed: 5, Workers: workers,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 600; i++ {
+				sim.Step(true)
+				for _, sh := range sim.shards {
+					n := 0
+					for st := range sh.active {
+						var want []int32
+						for si := sh.lo; si < sh.hi; si++ {
+							if !sim.stages[st][si].Empty() {
+								want = append(want, int32(si))
+							}
+						}
+						if got := sh.active[st]; !slices.Equal(got, want) {
+							t.Fatalf("workers=%d load=%v cycle %d shard %d stage %d: active %v, occupied %v",
+								workers, load, i, sh.id, st, got, want)
+						}
+						n += len(sh.active[st])
+					}
+					if sh.nActive != n {
+						t.Fatalf("workers=%d load=%v cycle %d shard %d: nActive %d, lists hold %d",
+							workers, load, i, sh.id, sh.nActive, n)
+					}
+					if sh.inMask != 0 {
+						t.Fatalf("workers=%d load=%v cycle %d shard %d: inMask %b left after the inject phase",
+							workers, load, i, sh.id, sh.inMask)
+					}
+					for d, box := range sh.outbox {
+						if set := sh.outMask&(1<<uint(d)) != 0; set != (len(box) > 0) {
+							t.Fatalf("workers=%d load=%v cycle %d shard %d: outMask bit %d = %v with %d transfers queued",
+								workers, load, i, sh.id, d, set, len(box))
+						}
+					}
+				}
+			}
+			sim.Close()
 		}
 	}
 }

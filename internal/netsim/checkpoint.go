@@ -1051,6 +1051,7 @@ func (s *Sim) resyncAfterRestore() error {
 	}
 	for _, sh := range s.shards {
 		inFlight += sh.inFlight
+		sh.nActive = 0
 		for st := range s.stages {
 			sh.active[st] = sh.active[st][:0]
 			for si := sh.lo; si < sh.hi; si++ {
@@ -1058,6 +1059,7 @@ func (s *Sim) resyncAfterRestore() error {
 					sh.active[st] = append(sh.active[st], int32(si))
 				}
 			}
+			sh.nActive += len(sh.active[st])
 		}
 		var backlog int64
 		for _, src := range sh.srcs {

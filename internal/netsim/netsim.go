@@ -32,6 +32,14 @@
 // shard count is a pure function of the topology, so results are
 // byte-identical at any worker count (Config.Workers), including 1.
 //
+// An idle shard costs almost nothing (DESIGN.md §8, §11). Each shard's
+// mailbox mask names its non-empty outboxes; the coordinator transposes
+// the masks between the move and inject barriers, so readers drain and
+// writers reset only the mailboxes that hold mail. Active sets change
+// only by events: a switch joins on its first accept and leaves when a
+// pop empties it, so a shard that popped nothing skips compaction, and
+// a shard with no active switch skips arbitration.
+//
 // Latency accounting (DESIGN.md §4): a packet is born at clock
 // cycle*C + u with u uniform in [0, C); it is delivered at the end of the
 // cycle that pops it from the last stage, clock (cycle+1)*C. End-to-end
@@ -44,6 +52,7 @@ package netsim
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"damq/internal/arbiter"
 	"damq/internal/buffer"
@@ -431,6 +440,9 @@ type shard struct {
 	// rounds it sat out (AdvanceIdle), so results are bit-identical to
 	// arbitrating every switch every cycle.
 	active [][]int32
+	// nActive is the total length of the active lists; the arbitrate
+	// phase skips a shard whose count is zero.
+	nActive int
 	// lastArb[st][si-lo] is the cycle the switch last ran (or was fast-
 	// forwarded through) arbitration; -1 before its first packet.
 	lastArb [][]int64
@@ -447,6 +459,14 @@ type shard struct {
 	// outbox[d] carries this shard's routed transfers into shard d's
 	// switches; d drains it in the inject phase, after the barrier.
 	outbox [][]xfer
+	// outMask has bit d set while outbox[d] holds transfers: the move
+	// phase sets it, the coordinator reads it after the move barrier
+	// (addressMail), and the next arbitrate phase resets exactly the
+	// outboxes it names and clears it. inMask is its transpose for this
+	// shard — bit j set when shard j has transfers for it — written by
+	// addressMail and consumed by the inject phase. maxShards keeps both
+	// within one word.
+	outMask, inMask uint64
 }
 
 // pendingGrant is one recorded arbitration outcome: switch si of stage st
@@ -646,6 +666,7 @@ func (sh *shard) activate(st, si int) {
 	}
 	lst[i] = int32(si)
 	sh.active[st] = lst
+	sh.nActive++
 }
 
 // blockProbe builds the blocking-protocol probe for stage st switch si:
@@ -681,6 +702,7 @@ func (s *Sim) Step(measuring bool) {
 	if g := s.gang; g != nil && s.metrics == nil {
 		g.Run(phaseArbitrate)
 		g.Run(phaseMove)
+		s.addressMail()
 		g.Run(phaseInject)
 	} else {
 		// Serial path: same shards, same phase order, one goroutine. An
@@ -692,6 +714,7 @@ func (s *Sim) Step(measuring bool) {
 		for _, sh := range s.shards {
 			sh.phaseMoveRun()
 		}
+		s.addressMail()
 		for _, sh := range s.shards {
 			sh.phaseInjectRun()
 		}
@@ -769,6 +792,19 @@ func (s *Sim) rebalanceFreeLists() {
 	}
 }
 
+// addressMail turns the shards' outbox masks into inbox masks: bit j of
+// shard d's inMask is set when shard j has transfers for d. Coordinator-
+// serial, between the move and inject barriers, and linear in the shard
+// count plus the non-empty mailboxes, so an idle shard pays nothing to
+// learn that it has no mail.
+func (s *Sim) addressMail() {
+	for j, src := range s.shards {
+		for m := src.outMask; m != 0; m &= m - 1 {
+			s.shards[bits.TrailingZeros64(m)].inMask |= 1 << uint(j)
+		}
+	}
+}
+
 // runPhase executes one phase for every shard in worker w's static block
 // — the function the gang drives. Workers own fixed contiguous shard
 // ranges, so scheduling never affects which goroutine touches what.
@@ -798,17 +834,25 @@ func (s *Sim) runPhase(w, phase int) {
 func (sh *shard) phaseArbitrateRun() {
 	s := sh.sim
 	sh.pending = sh.pending[:0]
-	for d := range sh.outbox {
-		sh.outbox[d] = sh.outbox[d][:0]
-	}
 	nStages := len(s.stages)
 	if s.fullScan {
+		for d := range sh.outbox {
+			sh.outbox[d] = sh.outbox[d][:0]
+		}
 		for st := 0; st < nStages; st++ {
 			row := s.stages[st]
 			for si := sh.lo; si < sh.hi; si++ {
 				sh.arbitrateOne(st, si, row[si])
 			}
 		}
+		return
+	}
+	for m := sh.outMask; m != 0; m &= m - 1 {
+		d := bits.TrailingZeros64(m)
+		sh.outbox[d] = sh.outbox[d][:0]
+	}
+	sh.outMask = 0
+	if sh.nActive == 0 {
 		return
 	}
 	for st := 0; st < nStages; st++ {
@@ -863,10 +907,15 @@ func (sh *shard) phaseMoveRun() {
 		p.OutPort = s.top.RouteDigit(p.Dest, st+1)
 		d := s.shardOfSw[nsw]
 		sh.outbox[d] = append(sh.outbox[d], xfer{p: p, st: int32(st + 1), si: int32(nsw), in: int32(nport)})
+		sh.outMask |= 1 << uint(d)
 	}
-	if s.fullScan {
+	// A switch leaves the active set only when a pop empties it, so a
+	// shard that popped nothing has nothing to compact. The full-scan
+	// reference keeps no active sets.
+	if len(sh.pending) == 0 || s.fullScan {
 		return
 	}
+	sh.nActive = 0
 	for st := range sh.active {
 		row := s.stages[st]
 		lst := sh.active[st]
@@ -878,6 +927,7 @@ func (sh *shard) phaseMoveRun() {
 			}
 		}
 		sh.active[st] = lst[:w]
+		sh.nActive += w
 	}
 }
 
@@ -893,8 +943,13 @@ func (sh *shard) phaseMoveRun() {
 func (sh *shard) phaseInjectRun() {
 	s := sh.sim
 	measuring := s.measuring
-	for j := range s.shards {
-		inbox := s.shards[j].outbox[sh.id]
+	in := sh.inMask
+	sh.inMask = 0
+	if s.fullScan {
+		in = 1<<uint(len(s.shards)) - 1
+	}
+	for ; in != 0; in &= in - 1 {
+		inbox := s.shards[bits.TrailingZeros64(in)].outbox[sh.id]
 		for i := range inbox {
 			x := &inbox[i]
 			st, si := int(x.st), int(x.si)

@@ -13,8 +13,8 @@ import (
 )
 
 // shardTestCases cover both protocols, the 2×2 fast-path radix, variable
-// lengths, and bursty traffic — every code path whose work the shards
-// split.
+// lengths, bursty traffic, and a near-idle network where most shards
+// exchange no mail — every code path whose work the shards split.
 func shardTestCases() []struct {
 	name string
 	cfg  Config
@@ -42,6 +42,16 @@ func shardTestCases() []struct {
 		{"hot-spot bursty varlen DAMQ", Config{
 			BufferKind: buffer.DAMQ, Capacity: 8, Policy: arbiter.Smart, Protocol: sw.Blocking,
 			Traffic:      TrafficSpec{Kind: Bursty, Load: 0.25, MeanBurst: 3, MinSlots: 1, MaxSlots: 2},
+			WarmupCycles: 200, MeasureCycles: 1200,
+		}},
+		{"sparse discarding DAMQ", Config{
+			BufferKind: buffer.DAMQ, Capacity: 4, Policy: arbiter.Smart, Protocol: sw.Discarding,
+			Traffic:      TrafficSpec{Kind: Uniform, Load: 0.02},
+			WarmupCycles: 200, MeasureCycles: 3000,
+		}},
+		{"hot-spot discarding DAMQ", Config{
+			BufferKind: buffer.DAMQ, Capacity: 4, Policy: arbiter.Smart, Protocol: sw.Discarding,
+			Traffic:      TrafficSpec{Kind: HotSpot, Load: 0.4, HotFraction: 0.05},
 			WarmupCycles: 200, MeasureCycles: 1200,
 		}},
 	}
